@@ -28,15 +28,16 @@ __all__ = [
 ]
 
 # Sweep cap and stopping threshold for the one-sided Jacobi iteration.  The
-# threshold is relative to the Frobenius norm of the input, so scaling a
-# matrix does not change how hard it is to converge.
+# threshold bounds the cosine between two columns, so it is relative to the
+# pair's own norms: scaling a matrix, or one of its columns, does not change
+# how hard it is to converge.
 JACOBI_MAX_SWEEPS = 60
 JACOBI_REL_TOL = 1e-12
 
 # Column norms at or below NULL_COLUMN_RTOL * ||A||_F are treated as a
 # numerically zero singular value: the singular value is reported as the
 # tiny norm that was measured, but the left factor column is replaced by a
-# unit vector completed against the columns already accepted, because
+# unit vector orthogonal to the columns already accepted, because
 # normalizing a vector of that size would amplify rounding noise.
 NULL_COLUMN_RTOL = 1e-13
 
@@ -78,12 +79,15 @@ class SvdFactorization:
     ``u`` is rows x r, ``v`` is cols x r, ``sigma`` has length
     r = min(rows, cols) and is nonnegative and non-increasing.  Numerically
     zero singular values are kept (as the tiny measured values) so the
-    factor shapes depend only on the input shape.
+    factor shapes depend only on the input shape.  ``sweeps`` is the number
+    of Jacobi sweeps :func:`thin_svd` ran, the final rotation-free one
+    included; it is 0 for a factorization built by hand.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
+    sweeps: int = 0
 
     def __post_init__(self):
         r = self.sigma.shape[0]
@@ -100,26 +104,31 @@ class SvdFactorization:
         return self.sigma.shape[0]
 
 
-def _complete_orthonormal(u: np.ndarray, filled: np.ndarray) -> None:
-    """Fill the columns of ``u`` where ``filled`` is False with unit vectors
-    orthogonal to every column already present.
+def _pivot_order(a: np.ndarray) -> np.ndarray:
+    """Column order of ``a`` for QR with column pivoting (Businger and
+    Golub): each step takes the column with the largest norm left after
+    projecting out the columns already taken.
 
-    Candidates are standard basis vectors; the one with the largest residual
-    after projecting out the accepted columns wins, which is safe even when
-    the accepted columns nearly contain some basis vectors.
+    Runs modified Gram-Schmidt on a scratch copy held one column per row.
+    Once every residual is exactly zero the remaining columns keep their
+    order.
     """
-    m = u.shape[0]
-    eye = np.eye(m)
-    for j in np.flatnonzero(~filled):
-        have = u[:, filled]
-        resid = eye - have @ (have.T @ eye)
-        pick = int(np.argmax((resid * resid).sum(axis=0)))
-        w = resid[:, pick]
-        # Second projection pass cleans up loss of orthogonality from the
-        # first when the chosen residual was small.
-        w = w - have @ (have.T @ w)
-        u[:, j] = w / math.sqrt(float(w @ w))
-        filled[j] = True
+    res = np.array(a.T)
+    order = np.arange(res.shape[0])
+    for k in range(res.shape[0] - 1):
+        tail = res[k:]
+        norms = np.einsum("ij,ij->i", tail, tail)
+        j = k + int(np.argmax(norms))
+        top = norms[j - k]
+        if top == 0.0:
+            break
+        if j != k:
+            res[[k, j]] = res[[j, k]]
+            order[[k, j]] = order[[j, k]]
+        w = res[k] / math.sqrt(float(top))
+        rest = res[k + 1:]
+        rest -= np.outer(rest @ w, w)
+    return order
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -146,40 +155,52 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def thin_svd(a) -> SvdFactorization:
-    """Thin SVD by one-sided Jacobi rotations.
+    """Thin SVD by QR-preconditioned one-sided Jacobi rotations
+    (Drmac and Veselic).
 
     Works on the tall orientation (the input is transposed first when it is
-    wide, and the factors are swapped back at the end).  Each sweep visits
-    every column pair once in round-robin order (Brent and Luk): a sweep
-    over n columns is n - 1 rounds (n when n is odd), and each round holds
-    up to n / 2 disjoint pairs that are rotated together with array
-    operations.  The rotation for a pair (p, q) orthogonalizes the two
-    columns and is applied to the same columns of V.  A pair is skipped when
-    its inner product is negligible both against the absolute floor
-    ``(JACOBI_REL_TOL * ||a||_F)**2`` and against the two column norms.
-    Convergence is declared after a sweep with no rotations.  At most
-    ``JACOBI_MAX_SWEEPS`` sweeps run, the final rotation-free one included;
-    if the last of them still rotated, :class:`SvdConvergenceError` is
-    raised.
+    wide, and the factors are swapped back at the end).  An m x n input is
+    reduced to an n x n triangle before any rotation: ``A P = Q1 R1`` with
+    the column order ``P`` of :func:`_pivot_order`, then ``R1.T = Q2 R2``,
+    both by ``numpy.linalg.qr``.  The Jacobi iteration runs on the lower
+    triangular ``X = R2.T``, whose columns are close to orthogonal already,
+    and ``A = (Q1 U_X) diag(sigma) (P Q2 V_X).T``.
+
+    Each sweep visits every column pair of ``X`` once in round-robin order
+    (Brent and Luk): a sweep over n columns is n - 1 rounds (n when n is
+    odd), and each round holds up to n / 2 disjoint pairs that are rotated
+    together with array operations.  The rotation for a pair (p, q)
+    orthogonalizes the two columns and is applied to the same columns of
+    ``Q2 V_X``.  A pair is rotated when its cosine exceeds ``JACOBI_REL_TOL``,
+    whatever the size of the two columns, which keeps small singular values
+    accurate relative to themselves.  Convergence is declared after a sweep
+    with no rotations.  At most ``JACOBI_MAX_SWEEPS`` sweeps run, the final
+    rotation-free one included; if the last of them still rotated,
+    :class:`SvdConvergenceError` is raised.  The sweeps run are reported in
+    :attr:`SvdFactorization.sweeps`.
     """
     m0 = as_matrix(a)
     transposed = m0.shape[0] < m0.shape[1]
     if transposed:
         m0 = m0.T
-    tm, tn = m0.shape
+    tn = m0.shape[1]
+    norm_f = math.sqrt(float(np.einsum("ij,ij->", m0, m0)))
 
-    # Row j holds column j of the working matrix followed by column j of V,
-    # so one row gather and one row scatter per round rotate both.  The
-    # concatenation is a fresh array, never a view of the input.
-    rows = np.concatenate((m0.T, np.eye(tn)), axis=1)
-    work = rows[:, :tm]
+    perm = _pivot_order(m0)
+    q1, r1 = np.linalg.qr(m0[:, perm])
+    q2, r2 = np.linalg.qr(r1.T)
+    del r1
+    # Row j holds column j of X (row j of R2) followed by column j of
+    # Q2 V_X, so one row gather and one row scatter per round rotate both;
+    # V_X starts as the identity, so that half starts as Q2.T.
+    rows = np.concatenate((r2, q2.T), axis=1)
+    del q2, r2
+    work = rows[:, :tn]
 
-    norm_f = math.sqrt(float((work * work).sum()))
-    floor = (JACOBI_REL_TOL * norm_f) ** 2
     rel2 = JACOBI_REL_TOL * JACOBI_REL_TOL
     rounds = _round_robin(tn)
 
-    for _ in range(JACOBI_MAX_SWEEPS):
+    for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
         # Fresh squared column norms each sweep; the in-sweep updates below
         # are cheap estimates that drift over many rotations.
         norms = (work * work).sum(axis=1)
@@ -187,10 +208,12 @@ def thin_svd(a) -> SvdFactorization:
         for p, q in rounds:
             rp = rows[p]
             rq = rows[q]
-            apq = np.einsum("ij,ij->i", rp[:, :tm], rq[:, :tm])
+            apq = np.einsum("ij,ij->i", rp[:, :tn], rq[:, :tn])
             app = norms[p]
             aqq = norms[q]
-            act = (np.abs(apq) > floor) & (apq * apq > rel2 * app * aqq)
+            # An estimate that drifted to zero or below must not let a pair
+            # with apq == 0 through: the angle below divides by apq.
+            act = apq * apq > rel2 * np.abs(app * aqq)
             if not act.all():
                 if not act.any():
                     continue
@@ -219,16 +242,22 @@ def thin_svd(a) -> SvdFactorization:
     sig = sig[order]
     rows = rows[order]
 
-    u = np.empty((tm, tn))
-    filled = sig > norm_f * NULL_COLUMN_RTOL
-    u[:, filled] = (rows[filled, :tm] / sig[filled, None]).T
-    if not filled.all():
-        _complete_orthonormal(u, filled)
+    # Left factor of X.  The k columns large enough to normalize lead,
+    # because sig is sorted; the rest are replaced by an orthonormal basis
+    # of the complement of the first k.
+    k = int(np.count_nonzero(sig > norm_f * NULL_COLUMN_RTOL))
+    ux = np.empty((tn, tn))
+    ux[:, :k] = (rows[:k, :tn] / sig[:k, None]).T
+    if k < tn:
+        ux[:, k:] = np.linalg.qr(ux[:, :k], mode="complete")[0][:, k:]
 
-    v = np.ascontiguousarray(rows[:, tm:].T)
+    v = np.empty((tn, tn))
+    v[perm] = rows[:, tn:].T
+    del rows, work
+    u = q1 @ ux
     if transposed:
-        return SvdFactorization(u=v, sigma=sig, v=u)
-    return SvdFactorization(u=u, sigma=sig, v=v)
+        return SvdFactorization(u=v, sigma=sig, v=u, sweeps=sweeps)
+    return SvdFactorization(u=u, sigma=sig, v=v, sweeps=sweeps)
 
 
 def rank_k_approx(f: SvdFactorization, k: int) -> np.ndarray:

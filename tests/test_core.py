@@ -1,6 +1,7 @@
 """Core primitives: validation, Frobenius norm, thin SVD, truncation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from reorgsvd import (
     approx_report,
     as_matrix,
     closed_form_inverse,
+    diag_to_columns,
     frobenius_norm,
     parameter_count,
     rank_k_approx,
@@ -90,24 +92,74 @@ def test_thin_svd_sweep_cap(monkeypatch):
 
     # The cap counts the final rotation-free sweep: a cap equal to the
     # number of sweeps the matrix needs succeeds, one less raises.
-    sweeps = []
-    schedule = core._round_robin
-
-    class CountedRounds(list):
-        def __iter__(self):
-            sweeps.append(1)
-            return super().__iter__()
-
-    monkeypatch.setattr(core, "_round_robin", lambda n: CountedRounds(schedule(n)))
     monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", default_cap)
-    thin_svd(a)
-    needed = len(sweeps)
+    needed = thin_svd(a).sweeps
     assert 2 <= needed < default_cap
     monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", needed)
-    thin_svd(a)
+    assert thin_svd(a).sweeps == needed
     monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", needed - 1)
     with pytest.raises(SvdConvergenceError):
         thin_svd(a)
+
+
+def test_thin_svd_graded_columns_keep_relative_accuracy():
+    # Columns graded from 1 to 1e-10, largest first and smallest first: a
+    # skip test relative to the pair's own norms rotates the small columns
+    # as thoroughly as the large ones, so every singular value keeps its
+    # relative accuracy whatever the column order.
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for seed in range(10):
+        for grade in (np.logspace(0, -10, 12), np.logspace(-10, 0, 12)):
+            a = np.random.default_rng(seed).normal(size=(16, 12)) * grade
+            with mpmath.workdps(40):
+                ref = mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)
+            ref = np.sort([float(x) for x in ref])[::-1]
+            sig = thin_svd(a).sigma
+            worst = max(worst, float(np.max(np.abs(sig - ref) / ref)))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("n", [76, 101, 150])
+def test_thin_svd_factors_orthonormal_on_diagonal_layouts(n):
+    # The theorem's diagonal layouts have many columns far below ||A||_F;
+    # they must still come out orthogonal to each other and to the rest.
+    params = TridiagParams(alpha=0.5, beta=0.5, gamma=1.0, n=n)
+    x = diag_to_columns(closed_form_inverse(params))
+    f = thin_svd(x)
+    assert np.abs(f.u.T @ f.u - np.eye(n)).max() <= 1e-11
+    assert np.abs(f.v.T @ f.v - np.eye(n)).max() <= 1e-11
+
+
+def test_thin_svd_memory_stays_linear_in_the_long_side():
+    # A rank-1 16 x 2400 input has 15 null columns to complete; nothing the
+    # factorization builds may grow with the square of the long side
+    # (2400 x 2400 float64 is 44 MiB).
+    a = np.ones((16, 2400))
+    tracemalloc.start()
+    try:
+        f = thin_svd(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.abs(f.v.T @ f.v - np.eye(16)).max() <= 1e-12
+
+
+def test_thin_svd_calls_no_lapack_svd_or_eigensolver(monkeypatch):
+    # thin_svd uses numpy.linalg.qr; any LAPACK SVD or eigen routine would
+    # make it a wrapper rather than the package's own SVD.
+    def refuse(*args, **kwargs):
+        raise AssertionError("thin_svd called a LAPACK SVD or eigen routine")
+
+    for name in ("svd", "svdvals", "eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse, raising=False)
+    rng = np.random.default_rng(3)
+    rank2 = rng.normal(size=(14, 2)) @ rng.normal(size=(2, 9))
+    for a in (rng.normal(size=(9, 9)), rng.normal(size=(20, 6)),
+              rng.normal(size=(6, 20)), rank2, np.zeros((7, 4))):
+        f = thin_svd(a)
+        assert np.abs((f.u * f.sigma) @ f.v.T - a).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
 
 
 @pytest.mark.parametrize("shape", [(7, 7), (12, 5), (5, 12), (1, 9), (9, 1), (2, 2)])
@@ -162,6 +214,11 @@ def test_thin_svd_transpose_swaps_factors():
     f = thin_svd(a)
     ft = thin_svd(a.T)
     assert np.allclose(f.sigma, ft.sigma, rtol=1e-12)
+
+
+def test_hand_built_factorization_reports_no_sweeps():
+    f = SvdFactorization(u=np.eye(2), sigma=np.array([2.0, 1.0]), v=np.eye(2))
+    assert f.sweeps == 0
 
 
 def test_factorization_rejects_increasing_sigma():
