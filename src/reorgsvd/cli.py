@@ -8,8 +8,8 @@ family).  Exit codes: 0 success, 1 bad data or I/O, 2 usage, 3 certificate
 violation.
 
 ``sweep`` fans out across worker processes when the RESHAPE_THREADS
-environment variable is an integer above 1; output is byte-identical
-either way.
+environment variable is an integer above 1, with at most one process per
+image and per CPU; output is byte-identical either way.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import datetime as dt
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .core import SvdConvergenceError, approx_report, rank_k_approx, thin_svd
 from .covid import DataError, covid_experiment, load_state_timeseries
@@ -134,7 +136,9 @@ def _sweep_worker(job: tuple[str, str, list[int], list[float]]):
     return tile_sweep(load_gray_image(path), name, tile_sizes, targets)
 
 
-def _worker_count() -> int:
+def _worker_count(jobs: int) -> int:
+    """Sweep processes for ``jobs`` images: RESHAPE_THREADS, clamped to
+    the number of images and of CPUs, and at least 1."""
     raw = os.environ.get("RESHAPE_THREADS", "").strip()
     if not raw:
         return 1
@@ -142,7 +146,7 @@ def _worker_count() -> int:
         n = int(raw)
     except ValueError:
         raise ValueError(f"RESHAPE_THREADS must be an integer, got {raw!r}") from None
-    return max(n, 1)
+    return max(min(n, jobs, os.cpu_count() or 1), 1)
 
 
 def _cmd_sweep(args) -> int:
@@ -152,7 +156,7 @@ def _cmd_sweep(args) -> int:
         raise DataError(f"no .pgm files in {root}")
     jobs = [(str(p), p.name, args.tile_sizes, args.targets) for p in paths]
 
-    workers = _worker_count()
+    workers = _worker_count(len(jobs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_image = list(pool.map(_sweep_worker, jobs))
@@ -234,18 +238,17 @@ def _cmd_covid(args) -> int:
     with open(out_dir / "covid_series.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["state", "date", "actual", "plain_recon", "stacked_recon"])
-        for i, code in enumerate(panel.entities):
-            for d in range(panel.days):
-                day = (panel.start + dt.timedelta(days=d)).isoformat()
-                writer.writerow(
-                    [
-                        code,
-                        day,
-                        format_float(panel.matrix[i, d]),
-                        format_float(rep.plain_recon[i, d]),
-                        format_float(rep.stacked_recon[i, d]),
-                    ]
-                )
+        series = (panel.matrix, rep.plain_recon, rep.stacked_recon)
+        if not all(np.isfinite(m).all() for m in series):
+            # Reject the first non-finite cell in row order, as format_float does.
+            cells = np.stack(series, axis=-1)
+            format_float(cells[~np.isfinite(cells)][0])
+        days = [(panel.start + dt.timedelta(days=d)).isoformat() for d in range(panel.days)]
+        for code, *rows in zip(panel.entities, *series):
+            writer.writerows(
+                [code, day, format(a, ".17g"), format(p, ".17g"), format(s, ".17g")]
+                for day, a, p, s in zip(days, *(r.tolist() for r in rows))
+            )
 
     print(
         f"plain rank-{rep.rank}: {rep.plain_parameters} parameters, "

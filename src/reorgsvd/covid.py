@@ -6,7 +6,9 @@ The expected CSV schema is one row per (date, state) with columns ``date``
 (ISO ``YYYY-MM-DD`` or compact ``YYYYMMDD``), ``state`` (two-letter code),
 ``positive`` and ``totalTestResults`` (cumulative counts).  Extra columns
 are ignored; rows for states or dates outside the requested window are
-skipped.
+skipped.  Rows are read by column index, the state code is checked first,
+and each distinct date text is parsed once per load: the file repeats every
+date once per state.  Error messages give the physical line of the row.
 
 A panel over ``days`` output days is loaded with a 7-day warmup so that the
 trailing moving average for the first output day is complete: the count
@@ -136,46 +138,66 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
         raise DataError("duplicate state codes requested")
 
     first = start - dt.timedelta(days=SMOOTH_WINDOW)
-    window = {first + dt.timedelta(days=i): i for i in range(days + SMOOTH_WINDOW)}
+    dates = [first + dt.timedelta(days=i) for i in range(days + SMOOTH_WINDOW)]
+    window = {day: i for i, day in enumerate(dates)}
     row_of = {code: i for i, code in enumerate(codes)}
 
     shape = (len(codes), days + SMOOTH_WINDOW)
     positives = np.full(shape, np.nan)
     tests = np.full(shape, np.nan)
 
+    # The file repeats each date once per state, so each distinct raw date
+    # text is parsed once and mapped to its window column (None outside).
+    col_of: dict[str, int | None] = {}
+
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in _REQUIRED_COLUMNS if c not in header]
         if missing:
             raise DataError(f"CSV is missing required columns: {', '.join(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            code = (row["state"] or "").strip()
-            if code not in row_of:
+        # A repeated column name reads from its last occurrence.
+        index = {name: j for j, name in enumerate(header)}
+        i_date, i_state, i_pos, i_tests = (index[c] for c in _REQUIRED_COLUMNS)
+        count_columns = (
+            (i_pos, "positive", positives),
+            (i_tests, "totalTestResults", tests),
+        )
+        width = max(i_date, i_state, i_pos, i_tests) + 1
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                row += [""] * (width - len(row))
+            code = row[i_state].strip()
+            i = row_of.get(code)
+            if i is None:
                 continue
-            day = _coerce_date((row["date"] or "").strip())
-            col = window.get(day)
+            text = row[i_date]
+            if text in col_of:
+                col = col_of[text]
+            else:
+                col = col_of[text] = window.get(_parse_date(text))
             if col is None:
                 continue
-            i = row_of[code]
             if not np.isnan(positives[i, col]) or not np.isnan(tests[i, col]):
                 raise DataError(
-                    f"duplicate row for state {code} on {day.isoformat()} (line {lineno})"
+                    f"duplicate row for state {code} on {dates[col].isoformat()} "
+                    f"(line {reader.line_num})"
                 )
-            for field, target in (("positive", positives), ("totalTestResults", tests)):
-                text = (row[field] or "").strip()
-                if not text:
+            for j, field, target in count_columns:
+                value = row[j].strip()
+                if not value:
                     continue
                 try:
-                    target[i, col] = float(text)
+                    target[i, col] = float(value)
                 except ValueError:
                     raise DataError(
-                        f"bad {field} value {text!r} for state {code} on "
-                        f"{day.isoformat()} (line {lineno})"
+                        f"bad {field} value {value!r} for state {code} on "
+                        f"{dates[col].isoformat()} (line {reader.line_num})"
                     ) from None
 
     gaps = []
-    dates = [first + dt.timedelta(days=i) for i in range(days + SMOOTH_WINDOW)]
     holes = np.isnan(positives) | np.isnan(tests)
     for i, j in zip(*np.nonzero(holes)):
         gaps.append(f"{codes[i]} {dates[j].isoformat()}")

@@ -153,6 +153,15 @@ def load_gray_image(path) -> GrayImage:
             )
         values = samples.astype(np.float64)
     else:
+        # Each sample needs a digit and a separator, so a header that claims
+        # more samples than the file can hold fails before the allocation.
+        left = len(data) - scan.pos
+        if left < 2 * count - 1:
+            raise PgmParseError(
+                f"raster truncated: {count} samples need at least {2 * count - 1} "
+                f"bytes, have {left}",
+                len(data),
+            )
         values = np.empty(count)
         for i in range(count):
             values[i] = scan.next_uint(f"sample {i} value", 0, maxval)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,3 +220,74 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "reorgsvd.cli"], capture_output=True, text=True
     )
     assert proc.returncode == 2
+
+
+def test_approx_rejects_oversized_ascii_header_before_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P2 1000000000 1000000000 255\n")
+    tracemalloc.start()
+    try:
+        rc = cli.main(["approx", str(path), "--ranks", "1", "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: raster truncated")
+    assert peak < 1 << 20
+
+
+def test_worker_count_is_clamped_to_images_and_cpus(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("RESHAPE_THREADS", raising=False)
+    assert cli._worker_count(10) == 1
+    for raw, jobs, want in [("64", 10, 4), ("64", 3, 3), ("2", 10, 2), ("0", 10, 1),
+                            ("-5", 10, 1), (" 3 ", 10, 3)]:
+        monkeypatch.setenv("RESHAPE_THREADS", raw)
+        assert cli._worker_count(jobs) == want, (raw, jobs)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("RESHAPE_THREADS", "8")
+    assert cli._worker_count(10) == 1
+
+
+def test_sweep_pool_gets_the_clamped_worker_count(image_dir, tmp_path, monkeypatch):
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
+    monkeypatch.setenv("RESHAPE_THREADS", "1000")
+    rc = cli.main(["sweep", str(image_dir), "--tile-sizes", "4", "--targets", "0.1",
+                   "--out", str(tmp_path / "o.csv")])
+    assert rc == 0
+    assert seen == [2]  # two images in the directory
+
+
+def test_covid_series_rejects_non_finite_values(tmp_path, monkeypatch, capsys):
+    path = write_counts(tmp_path / "c.csv", linear_counts(["CA", "NY", "TX"], 6))
+    real = cli.covid_experiment
+
+    def poisoned(panel, groups, rank):
+        rep = real(panel, groups, rank)
+        recon = rep.plain_recon.copy()
+        recon[1, 2] = np.inf
+        return dataclasses.replace(rep, plain_recon=recon)
+
+    monkeypatch.setattr(cli, "covid_experiment", poisoned)
+    rc = cli.main(["covid", str(path), "--start-date", "2020-05-17", "--days", "6",
+                   "--states", "CA,NY,TX", "--groups", "3", "--rank", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error: cannot serialize non-finite float inf" in capsys.readouterr().err

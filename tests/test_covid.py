@@ -1,11 +1,13 @@
 """Positivity-panel loading, smoothing, and the stacking experiment."""
 
 import datetime as dt
+import random
 
 import numpy as np
 import pytest
 from helpers import START, linear_counts as _linear_counts, write_counts as _write_counts
 
+import reorgsvd.covid as covid
 from reorgsvd import (
     DataError,
     US_STATE_CODES,
@@ -213,3 +215,105 @@ def test_timeseries_is_the_composition(tmp_path):
     assert np.array_equal(direct.matrix, composed.matrix)
     assert direct.entities == composed.entities
     assert direct.start == START
+
+
+def test_loader_accepts_iso_and_compact_dates_in_one_file(tmp_path):
+    rows = _linear_counts(["CA", "NY"], 4)
+    for n, row in enumerate(rows):
+        if n % 2:
+            row[0] = row[0].replace("-", "")
+    path = _write_counts(tmp_path / "mixed.csv", rows)
+    mixed = load_state_counts(path, START, 4, states=["CA", "NY"])
+    iso = load_state_counts(
+        _write_counts(tmp_path / "iso.csv", _linear_counts(["CA", "NY"], 4)),
+        START, 4, states=["CA", "NY"],
+    )
+    assert np.array_equal(mixed.positives, iso.positives)
+    assert np.array_equal(mixed.tests, iso.tests)
+
+    # The two spellings of one day name the same cell.
+    again = [START.strftime("%Y%m%d"), "CA", "1", "2"]
+    path = _write_counts(tmp_path / "twice.csv", _linear_counts(["CA"], 4) + [again])
+    with pytest.raises(DataError, match="duplicate row for state CA on 2020-05-17"):
+        load_state_counts(path, START, 4, states=["CA"])
+
+
+def test_unparseable_date_matters_only_on_requested_rows(tmp_path):
+    rows = _linear_counts(["CA"], 3) + [["17/05/2020", "ZZ", "1", "2"]]
+    counts = load_state_counts(_write_counts(tmp_path / "a.csv", rows), START, 3,
+                               states=["CA"])
+    assert counts.entities == ("CA",)
+
+    rows = _linear_counts(["CA"], 3) + [["17/05/2020", "CA", "1", "2"]]
+    with pytest.raises(DataError, match="unparseable date '17/05/2020'"):
+        load_state_counts(_write_counts(tmp_path / "b.csv", rows), START, 3,
+                          states=["CA"])
+
+
+def test_short_rows_leave_gaps_and_extra_columns_are_ignored(tmp_path):
+    rows = _linear_counts(["CA"], 3)
+    gap_day = rows[5][0]
+    rows[5] = rows[5][:3]  # no totalTestResults field at all
+    rows[6] = rows[6][:2]  # neither count
+    path = _write_counts(tmp_path / "short.csv", rows)
+    with pytest.raises(DataError, match=f"missing counts for CA {gap_day}, CA "):
+        load_state_counts(path, START, 3, states=["CA"])
+
+    plain = load_state_counts(
+        _write_counts(tmp_path / "p.csv", _linear_counts(["CA"], 3)), START, 3,
+        states=["CA"],
+    )
+    rows = [row + ["extra", "7"] for row in _linear_counts(["CA"], 3)]
+    wide = load_state_counts(_write_counts(tmp_path / "w.csv", rows), START, 3,
+                             states=["CA"])
+    assert np.array_equal(wide.positives, plain.positives)
+    assert np.array_equal(wide.tests, plain.tests)
+
+
+def test_duplicate_rule_looks_at_filled_cells(tmp_path):
+    rows = _linear_counts(["CA"], 3)
+    # A row whose counts are both empty fills nothing, so a later row for
+    # the same cell is not a duplicate ...
+    path = _write_counts(tmp_path / "a.csv", [[rows[0][0], "CA", "", ""]] + rows)
+    load_state_counts(path, START, 3, states=["CA"])
+    # ... but any row after a filled one is, even an empty one.
+    path = _write_counts(tmp_path / "b.csv", rows + [[rows[0][0], "CA", "", ""]])
+    with pytest.raises(DataError, match=r"duplicate row for state CA on .* \(line 12\)"):
+        load_state_counts(path, START, 3, states=["CA"])
+
+
+def test_error_line_numbers_are_physical_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("date,state,positive,totalTestResults\n\n2020-06-01,CA,x,5\n")
+    with pytest.raises(DataError, match=r"bad positive value 'x' .* \(line 3\)"):
+        load_state_counts(path, "2020-06-01", 1, states=["CA"])
+
+    path = tmp_path / "quoted.csv"
+    path.write_text(
+        "date,state,positive,totalTestResults,note\n"
+        '2020-05-31,CA,1,2,"two\nlines"\n'
+        "2020-06-01,CA,3,y,\n"
+    )
+    with pytest.raises(DataError, match=r"bad totalTestResults value 'y' .* \(line 4\)"):
+        load_state_counts(path, "2020-06-01", 1, states=["CA"])
+
+
+def test_each_distinct_date_text_is_parsed_at_most_once(tmp_path, monkeypatch):
+    rows = _linear_counts(["CA", "NY", "TX", "WA"], 20)
+    rows += [[row[0], "ZZ", "1", "2"] for row in rows[:27]]
+    random.Random(4).shuffle(rows)
+    path = _write_counts(tmp_path / "c.csv", rows)
+    wanted = {"CA", "NY", "TX"}
+    distinct = len({row[0] for row in rows if row[1] in wanted})
+
+    calls = []
+    real = covid._parse_date
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(covid, "_parse_date", counting)
+    counts = load_state_counts(path, START, 20, states=sorted(wanted))
+    assert counts.positives.shape == (3, 27)
+    assert 0 < len(calls) <= distinct

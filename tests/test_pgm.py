@@ -152,3 +152,14 @@ def test_pgm_errors_are_value_errors():
     assert issubclass(PgmFormatError, PgmError)
     assert issubclass(PgmParseError, PgmError)
     assert issubclass(PgmError, ValueError)
+
+
+def test_ascii_raster_too_short_for_its_header_fails_before_parsing(tmp_path):
+    # The tightest raster that can hold 3 samples: a separator and a digit each.
+    img = load_gray_image(_write(tmp_path, b"P2 3 1 9 1 2 3"))
+    assert np.allclose(img.matrix, [[1 / 9, 2 / 9, 3 / 9]])
+    payload = b"P2 3 1 9 1 2"
+    with pytest.raises(PgmParseError) as err:
+        load_gray_image(_write(tmp_path, payload))
+    assert "raster truncated: 3 samples need at least 5 bytes, have 4" in str(err.value)
+    assert err.value.offset == len(payload)
