@@ -94,11 +94,15 @@ def _cmd_approx(args) -> int:
         label = "plain"
         tile_info = None
 
-    f = thin_svd(work)
+    limit = min(work.shape)
+    for k in args.ranks:
+        if not 1 <= k <= limit:
+            raise ValueError(f"rank must be in [1, {limit}], got {k}")
+    f = thin_svd(work, rank=max(args.ranks))
     records = []
     for k in args.ranks:
-        rep = approx_report(work, k, f=f)
         approx = rank_k_approx(f, k)
+        rep = approx_report(work, k, approx=approx)
         if scheme is not None:
             approx = columns_to_tiles(approx, scheme)
         name = f"{stem}_{label}_rank{k}.pgm"

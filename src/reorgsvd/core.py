@@ -74,34 +74,40 @@ def frobenius_norm(a) -> float:
 
 @dataclass(frozen=True)
 class SvdFactorization:
-    """Thin SVD ``a = u @ diag(sigma) @ v.T``.
+    """Thin SVD ``a = u @ diag(sigma) @ v.T``, or its leading triples.
 
-    ``u`` is rows x r, ``v`` is cols x r, ``sigma`` has length
-    r = min(rows, cols) and is nonnegative and non-increasing.  Numerically
-    zero singular values are kept (as the tiny measured values) so the
-    factor shapes depend only on the input shape.  ``sweeps`` is the number
-    of Jacobi sweeps :func:`thin_svd` ran, the final rotation-free one
-    included; it is 0 for a factorization built by hand.
+    ``sigma`` has length min(rows, cols) and is nonnegative and
+    non-increasing.  Numerically zero singular values are kept (as the tiny
+    measured values) so its length depends only on the input shape.  ``u``
+    is rows x k and ``v`` is cols x k with k <= len(sigma): a full
+    factorization holds every triple (k = len(sigma)), a truncated one from
+    ``thin_svd(a, rank=k)`` holds the leading k singular vectors and still
+    every singular value.  ``sweeps`` is the number of Jacobi sweeps
+    :func:`thin_svd` ran, the final rotation-free one included, and
+    ``rotations`` the number of pair rotations it applied; both are 0 for a
+    factorization built by hand.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
     sweeps: int = 0
+    rotations: int = 0
 
     def __post_init__(self):
         r = self.sigma.shape[0]
         if self.u.ndim != 2 or self.v.ndim != 2 or self.sigma.ndim != 1:
             raise ValueError("factor arrays have wrong dimensionality")
-        if self.u.shape[1] != r or self.v.shape[1] != r:
+        if self.u.shape[1] != self.v.shape[1] or self.u.shape[1] > r:
             raise ValueError("factor column counts disagree with sigma")
         if r and (self.sigma[0] < 0 or np.any(np.diff(self.sigma) > 0)):
             raise ValueError("sigma must be nonnegative and non-increasing")
 
     @property
     def rank_limit(self) -> int:
-        """Number of singular triples stored, min(rows, cols)."""
-        return self.sigma.shape[0]
+        """Number of singular triples stored: the vector columns held, which
+        is min(rows, cols) for a full factorization."""
+        return self.u.shape[1]
 
 
 def _pivot_order(a: np.ndarray) -> np.ndarray:
@@ -154,51 +160,20 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def thin_svd(a) -> SvdFactorization:
-    """Thin SVD by QR-preconditioned one-sided Jacobi rotations
-    (Drmac and Veselic).
+def _jacobi(rows: np.ndarray, tn: int) -> tuple[int, int]:
+    """One-sided Jacobi on ``X``, held as the first ``tn`` columns of
+    ``rows`` (row j is column j of ``X``).  Any further columns of a row
+    are rotated along with it.  Works in place and returns the sweeps run
+    and the pair rotations applied.
 
-    Works on the tall orientation (the input is transposed first when it is
-    wide, and the factors are swapped back at the end).  An m x n input is
-    reduced to an n x n triangle before any rotation: ``A P = Q1 R1`` with
-    the column order ``P`` of :func:`_pivot_order`, then ``R1.T = Q2 R2``,
-    both by ``numpy.linalg.qr``.  The Jacobi iteration runs on the lower
-    triangular ``X = R2.T``, whose columns are close to orthogonal already,
-    and ``A = (Q1 U_X) diag(sigma) (P Q2 V_X).T``.
-
-    Each sweep visits every column pair of ``X`` once in round-robin order
-    (Brent and Luk): a sweep over n columns is n - 1 rounds (n when n is
-    odd), and each round holds up to n / 2 disjoint pairs that are rotated
-    together with array operations.  The rotation for a pair (p, q)
-    orthogonalizes the two columns and is applied to the same columns of
-    ``Q2 V_X``.  A pair is rotated when its cosine exceeds ``JACOBI_REL_TOL``,
-    whatever the size of the two columns, which keeps small singular values
-    accurate relative to themselves.  Convergence is declared after a sweep
-    with no rotations.  At most ``JACOBI_MAX_SWEEPS`` sweeps run, the final
-    rotation-free one included; if the last of them still rotated,
-    :class:`SvdConvergenceError` is raised.  The sweeps run are reported in
-    :attr:`SvdFactorization.sweeps`.
+    Every number in the ``X`` half comes out the same whether or not
+    ``rows`` carries further columns: the products and norms read only
+    that half, and the rotation is elementwise.
     """
-    m0 = as_matrix(a)
-    transposed = m0.shape[0] < m0.shape[1]
-    if transposed:
-        m0 = m0.T
-    tn = m0.shape[1]
-    norm_f = math.sqrt(float(np.einsum("ij,ij->", m0, m0)))
-
-    perm = _pivot_order(m0)
-    q1, r1 = np.linalg.qr(m0[:, perm])
-    q2, r2 = np.linalg.qr(r1.T)
-    del r1
-    # Row j holds column j of X (row j of R2) followed by column j of
-    # Q2 V_X, so one row gather and one row scatter per round rotate both;
-    # V_X starts as the identity, so that half starts as Q2.T.
-    rows = np.concatenate((r2, q2.T), axis=1)
-    del q2, r2
     work = rows[:, :tn]
-
     rel2 = JACOBI_REL_TOL * JACOBI_REL_TOL
     rounds = _round_robin(tn)
+    rotations = 0
 
     for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
         # Fresh squared column norms each sweep; the in-sweep updates below
@@ -220,6 +195,7 @@ def thin_svd(a) -> SvdFactorization:
                 p, q, rp, rq = p[act], q[act], rp[act], rq[act]
                 apq, app, aqq = apq[act], app[act], aqq[act]
             rotated = True
+            rotations += p.shape[0]
             zeta = (aqq - app) / (2.0 * apq)
             t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
             c = 1.0 / np.sqrt(1.0 + t * t)
@@ -231,37 +207,129 @@ def thin_svd(a) -> SvdFactorization:
             norms[p] = app - t * apq
             norms[q] = aqq + t * apq
         if not rotated:
-            break
+            return sweeps, rotations
+    raise SvdConvergenceError(
+        f"one-sided Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+    )
+
+
+def thin_svd(a, rank: int | None = None) -> SvdFactorization:
+    """Thin SVD by QR-preconditioned one-sided Jacobi rotations
+    (Drmac and Veselic), in full or truncated to the leading ``rank``
+    singular triples.
+
+    Works on the tall orientation (the input is transposed first when it is
+    wide, and the factors are swapped back at the end).  An m x n input is
+    reduced to an n x n triangle before any rotation: ``A P = Q1 R1`` with
+    the column order ``P`` of :func:`_pivot_order`, then ``R1.T = Q2 R2``,
+    both by ``numpy.linalg.qr``.  The Jacobi iteration runs on the lower
+    triangular ``X = R2.T``, whose columns are close to orthogonal already,
+    and ``A = (Q1 U_X) diag(sigma) (P Q2 V_X).T``.
+
+    Each sweep visits every column pair of ``X`` once in round-robin order
+    (Brent and Luk): a sweep over n columns is n - 1 rounds (n when n is
+    odd), and each round holds up to n / 2 disjoint pairs that are rotated
+    together with array operations.  The rotation for a pair (p, q)
+    orthogonalizes the two columns and, in the full factorization, is
+    applied to the same columns of ``Q2 V_X``.  A pair is rotated when its
+    cosine exceeds ``JACOBI_REL_TOL``, whatever the size of the two
+    columns, which keeps small singular values accurate relative to
+    themselves.  Convergence is declared after a sweep with no rotations.
+    At most ``JACOBI_MAX_SWEEPS`` sweeps run, the final rotation-free one
+    included; if the last of them still rotated,
+    :class:`SvdConvergenceError` is raised.  The sweeps run and the pair
+    rotations applied are reported in :attr:`SvdFactorization.sweeps` and
+    :attr:`SvdFactorization.rotations`.
+
+    ``rank=None`` (the default) returns every triple.  ``rank=k``, an
+    integer in [0, min(m, n)], returns every singular value and only the
+    leading k singular vectors on each side.  The rotations then act on the
+    n x n ``X`` alone, rows of n numbers instead of 2n, and ``Q2`` is never
+    formed; with ``rank=0`` neither is ``Q1``, and both QR factorizations
+    return R only.  ``sigma``, ``sweeps`` and ``rotations`` are
+    bit-identical to the full call's, and so are the k vectors on the long
+    side (``u`` for a tall or square input, ``v`` for a wide one), which
+    come from the same rotations.  The short side is ``A.T @ u_k``
+    (``A @ v_k`` for a wide input), made orthonormal by one QR whose column
+    signs follow the signs of the R diagonal (a zero counts as positive).
+    It agrees with the full call's columns to rounding: orthonormal to
+    about 1e-15, and the rank-k reconstruction within 1e-12 * ||A||_F of
+    the full call's (about 1e-13 on the inputs tested).
+    """
+    m0 = as_matrix(a)
+    transposed = m0.shape[0] < m0.shape[1]
+    if transposed:
+        m0 = m0.T
+    tn = m0.shape[1]
+    if rank is not None:
+        if (not isinstance(rank, (int, np.integer)) or isinstance(rank, bool)
+                or not 0 <= rank <= tn):
+            raise ValueError(f"rank must be an integer in [0, {tn}], got {rank!r}")
+        rank = int(rank)
+    norm_f = math.sqrt(float(np.einsum("ij,ij->", m0, m0)))
+
+    perm = _pivot_order(m0)
+    if rank == 0:
+        r1 = np.linalg.qr(m0[:, perm], mode="r")
     else:
-        raise SvdConvergenceError(
-            f"one-sided Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
+        q1, r1 = np.linalg.qr(m0[:, perm])
+    if rank is None:
+        q2, r2 = np.linalg.qr(r1.T)
+        # Row j holds column j of X (row j of R2) followed by column j of
+        # Q2 V_X, so one row gather and one row scatter per round rotate
+        # both; V_X starts as the identity, so that half starts as Q2.T.
+        rows = np.concatenate((r2, q2.T), axis=1)
+        del q2, r2
+    else:
+        rows = np.linalg.qr(r1.T, mode="r")
+    del r1
+    sweeps, rotations = _jacobi(rows, tn)
+    work = rows[:, :tn]
 
     sig = np.sqrt((work * work).sum(axis=1))
     order = np.argsort(-sig, kind="stable")
     sig = sig[order]
-    rows = rows[order]
+    if rank == 0:
+        empty_u, empty_v = np.empty((m0.shape[0], 0)), np.empty((tn, 0))
+        if transposed:
+            empty_u, empty_v = empty_v, empty_u
+        return SvdFactorization(u=empty_u, sigma=sig, v=empty_v,
+                                sweeps=sweeps, rotations=rotations)
+    width = tn if rank is None else rank
+    rows = rows[order[:width]]
 
     # Left factor of X.  The k columns large enough to normalize lead,
     # because sig is sorted; the rest are replaced by an orthonormal basis
-    # of the complement of the first k.
+    # of the complement of the first k.  A truncated call pads its columns
+    # with zeros to n, so that the product with Q1 is the same BLAS call as
+    # in the full factorization and its leading columns come out
+    # bit-identical.
     k = int(np.count_nonzero(sig > norm_f * NULL_COLUMN_RTOL))
-    ux = np.empty((tn, tn))
-    ux[:, :k] = (rows[:k, :tn] / sig[:k, None]).T
-    if k < tn:
-        ux[:, k:] = np.linalg.qr(ux[:, :k], mode="complete")[0][:, k:]
-
-    v = np.empty((tn, tn))
-    v[perm] = rows[:, tn:].T
+    kw = min(k, width)
+    ux = np.zeros((tn, tn))
+    ux[:, :kw] = (rows[:kw, :tn] / sig[:kw, None]).T
+    if kw < width:
+        ux[:, kw:width] = np.linalg.qr(ux[:, :kw], mode="complete")[0][:, kw:width]
+    if rank is None:
+        v = np.empty((tn, tn))
+        v[perm] = rows[:, tn:].T
     del rows, work
     u = q1 @ ux
+    del q1, ux
+    if rank is not None:
+        u = np.ascontiguousarray(u[:, :width])
+        # A.T u_j = sigma_j v_j; the QR restores the orthogonality that
+        # rounding costs, and the sign fix keeps each column along A.T u_j.
+        v, r = np.linalg.qr(m0.T @ u)
+        v *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     if transposed:
-        return SvdFactorization(u=v, sigma=sig, v=u, sweeps=sweeps)
-    return SvdFactorization(u=u, sigma=sig, v=v, sweeps=sweeps)
+        u, v = v, u
+    return SvdFactorization(u=u, sigma=sig, v=v, sweeps=sweeps, rotations=rotations)
 
 
 def rank_k_approx(f: SvdFactorization, k: int) -> np.ndarray:
-    """Best rank-k approximation assembled from the leading k triples."""
+    """Best rank-k approximation assembled from the leading k triples;
+    ``k`` may not exceed the triples ``f`` holds."""
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError(f"rank must be an integer, got {k!r}")
     if k < 1 or k > f.rank_limit:
@@ -304,18 +372,23 @@ class ApproxReport:
     rel_error: float
 
 
-def approx_report(a, k: int, f: SvdFactorization | None = None) -> ApproxReport:
+def approx_report(a, k: int, f: SvdFactorization | None = None,
+                  approx: np.ndarray | None = None) -> ApproxReport:
     """Approximate ``a`` at rank ``k`` and report the cost and the error.
 
-    Pass a precomputed factorization ``f`` of ``a`` to amortize the SVD
-    across several ranks.  ``a`` must be nonzero for the relative error to
-    be defined.
+    Pass a precomputed factorization ``f`` of ``a`` (full, or holding at
+    least k triples) to amortize the SVD across several ranks, or the
+    rank-k reconstruction ``approx`` itself when the caller builds it
+    anyway.  ``a`` must be nonzero for the relative error to be defined.
     """
     m = as_matrix(a)
-    if f is None:
-        f = thin_svd(m)
-    y = rank_k_approx(f, k)
-    diff = (m - y).ravel()
+    if approx is None:
+        if f is None:
+            f = thin_svd(m)
+        approx = rank_k_approx(f, k)
+    elif np.shape(approx) != m.shape:
+        raise ValueError(f"shape mismatch: {m.shape} vs {np.shape(approx)}")
+    diff = (m - approx).ravel()
     abs_sq = float(diff @ diff)
     return ApproxReport(
         rows=m.shape[0],

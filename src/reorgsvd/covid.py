@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +128,9 @@ class SeriesPanel:
 def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPanel:
     """Read cumulative counts for the requested states over the count
     window.  Every (state, day) cell in the window must be present exactly
-    once with both counts filled in; gaps and duplicates are data errors."""
+    once with both counts filled in; gaps and duplicates are data errors,
+    and so is a count that is not a finite number >= 0.  A row with empty
+    counts still takes its cell."""
     if days < 1:
         raise DataError(f"days must be positive, got {days}")
     start = _coerce_date(start_date)
@@ -145,6 +148,8 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
     shape = (len(codes), days + SMOOTH_WINDOW)
     positives = np.full(shape, np.nan)
     tests = np.full(shape, np.nan)
+    # Cells taken by a row so far, filled or not.
+    seen = np.zeros(shape, dtype=bool)
 
     # The file repeats each date once per state, so each distinct raw date
     # text is parsed once and mapped to its window column (None outside).
@@ -180,22 +185,28 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
                 col = col_of[text] = window.get(_parse_date(text))
             if col is None:
                 continue
-            if not np.isnan(positives[i, col]) or not np.isnan(tests[i, col]):
+            if seen[i, col]:
                 raise DataError(
                     f"duplicate row for state {code} on {dates[col].isoformat()} "
                     f"(line {reader.line_num})"
                 )
+            seen[i, col] = True
             for j, field, target in count_columns:
                 value = row[j].strip()
                 if not value:
                     continue
                 try:
-                    target[i, col] = float(value)
+                    count = float(value)
                 except ValueError:
+                    count = math.nan
+                # Also false for nan, so unparseable text lands here too.
+                if not 0.0 <= count < math.inf:
                     raise DataError(
                         f"bad {field} value {value!r} for state {code} on "
-                        f"{dates[col].isoformat()} (line {reader.line_num})"
-                    ) from None
+                        f"{dates[col].isoformat()} (line {reader.line_num}); "
+                        f"a count must be a finite number >= 0"
+                    )
+                target[i, col] = count
 
     gaps = []
     holes = np.isnan(positives) | np.isnan(tests)
@@ -337,8 +348,8 @@ def covid_experiment(panel: SeriesPanel, groups: int, rank: int) -> CovidReport:
     if k < 1 or k > limit:
         raise ValueError(f"rank must be in [1, {limit}], got {rank}")
 
-    plain_recon = rank_k_approx(thin_svd(m), k)
-    stacked_recon_raw = rank_k_approx(thin_svd(stacked), k)
+    plain_recon = rank_k_approx(thin_svd(m, rank=k), k)
+    stacked_recon_raw = rank_k_approx(thin_svd(stacked, rank=k), k)
     stacked_recon = unstack_column_groups(stacked_recon_raw, g)
 
     return CovidReport(

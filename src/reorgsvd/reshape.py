@@ -185,11 +185,11 @@ def ksvd_terms(a, tile_rows: int, tile_cols: int, r: int,
     to the accuracy of the factorization.
     """
     x, scheme = tile_to_columns(a, tile_rows, tile_cols)
-    if f is None:
-        f = thin_svd(x)
-    limit = f.rank_limit
+    limit = min(x.shape) if f is None else f.rank_limit
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or not 1 <= r <= limit:
         raise ValueError(f"term count must be in [1, {limit}], got {r!r}")
+    if f is None:
+        f = thin_svd(x, rank=int(r))
     p, q = scheme.tile_rows, scheme.tile_cols
     gr, gc = scheme.grid_rows, scheme.grid_cols
     terms = []

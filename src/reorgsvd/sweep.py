@@ -101,7 +101,7 @@ def min_rank_for_error(a, target: float, f: SvdFactorization | None = None) -> t
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
     if f is None:
-        f = thin_svd(a)
+        f = thin_svd(a, rank=0)
     return _rank_for_target(f.sigma, target)
 
 
@@ -126,12 +126,12 @@ def tile_sweep(
             raise ValueError(f"target must be in (0, 1), got {t}")
 
     rows, cols = img.shape
-    plain_f = thin_svd(img.matrix)
+    plain_f = thin_svd(img.matrix, rank=0)
     unfolded = []
     for s in tile_sizes:
         cropped = crop_to_tile_multiple(img, s, s)
         x, scheme = tile_to_columns(cropped.matrix, s, s)
-        unfolded.append((int(s), scheme, thin_svd(x)))
+        unfolded.append((int(s), scheme, thin_svd(x, rank=0)))
 
     out: list[SweepRecord] = []
     for target in targets:

@@ -258,7 +258,7 @@ class Rank1Certificate:
 
 def _rank1_err_sq(m: np.ndarray) -> tuple[float, float]:
     """(top singular value, squared rank-1 truncation error), measured."""
-    f = thin_svd(m)
+    f = thin_svd(m, rank=1)
     diff = (m - rank_k_approx(f, 1)).ravel()
     return float(f.sigma[0]), float(diff @ diff)
 

@@ -12,6 +12,7 @@ import pytest
 from helpers import linear_counts, write_counts
 
 import reorgsvd.cli as cli
+import reorgsvd.core as core
 from reorgsvd import (
     GrayImage,
     TridiagParams,
@@ -111,6 +112,30 @@ def test_approx_data_errors_exit_1(image_dir, tmp_path, capsys):
          str(tmp_path / "o")]
     )
     assert rc == 1
+    # kron.pgm is 32 x 48, so no rank above 32 exists.
+    capsys.readouterr()
+    rc = cli.main(
+        ["approx", str(image_dir / "kron.pgm"), "--ranks", "2,33", "--out",
+         str(tmp_path / "o")]
+    )
+    assert rc == 1
+    assert "rank must be in [1, 32], got 33" in capsys.readouterr().err
+
+
+def test_approx_builds_each_reconstruction_once(image_dir, tmp_path, monkeypatch):
+    built = []
+    real = cli.rank_k_approx
+
+    def counting(f, k):
+        built.append(k)
+        return real(f, k)
+
+    monkeypatch.setattr(cli, "rank_k_approx", counting)
+    monkeypatch.setattr(core, "rank_k_approx", counting)
+    rc = cli.main(["approx", str(image_dir / "kron.pgm"), "--ranks", "1,4,2",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert built == [1, 4, 2]
 
 
 def test_sweep_parallel_output_matches_sequential(image_dir, tmp_path, monkeypatch):
@@ -178,6 +203,21 @@ def test_covid_bad_csv_exits_1(tmp_path, capsys):
                    "--states", "CA", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "missing required columns" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["inf", "-5"])
+def test_covid_bad_count_exits_1_naming_the_line(tmp_path, capsys, text):
+    rows = linear_counts(["CA", "NY", "TX"], 3)
+    rows[4][2] = text
+    path = write_counts(tmp_path / "c.csv", rows)
+    rc = cli.main(["covid", str(path), "--start-date", "2020-05-17", "--days", "3",
+                   "--states", "CA,NY,TX", "--groups", "1", "--rank", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"bad positive value '{text}' for state {rows[4][1]}" in err
+    assert "(line 6)" in err
 
 
 def test_verify_theorem_certifies_and_writes_report(tmp_path, capsys):

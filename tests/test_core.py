@@ -160,6 +160,10 @@ def test_thin_svd_calls_no_lapack_svd_or_eigensolver(monkeypatch):
               rng.normal(size=(6, 20)), rank2, np.zeros((7, 4))):
         f = thin_svd(a)
         assert np.abs((f.u * f.sigma) @ f.v.T - a).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
+        k = min(a.shape) // 2
+        assert np.array_equal(thin_svd(a, rank=0).sigma, f.sigma)
+        fk = thin_svd(a, rank=k)
+        assert fk.u.shape[1] == k and np.array_equal(fk.sigma, f.sigma)
 
 
 @pytest.mark.parametrize("shape", [(7, 7), (12, 5), (5, 12), (1, 9), (9, 1), (2, 2)])
@@ -219,6 +223,99 @@ def test_thin_svd_transpose_swaps_factors():
 def test_hand_built_factorization_reports_no_sweeps():
     f = SvdFactorization(u=np.eye(2), sigma=np.array([2.0, 1.0]), v=np.eye(2))
     assert f.sweeps == 0
+    assert f.rotations == 0
+
+
+def test_factorization_may_hold_fewer_vectors_than_sigma():
+    sigma = np.array([3.0, 2.0, 1.0])
+    f = SvdFactorization(u=np.eye(4)[:, :1], sigma=sigma, v=np.eye(3)[:, :1])
+    assert f.rank_limit == 1
+    assert SvdFactorization(u=np.empty((4, 0)), sigma=sigma, v=np.empty((3, 0))).rank_limit == 0
+    with pytest.raises(ValueError):
+        SvdFactorization(u=np.eye(4)[:, :2], sigma=sigma, v=np.eye(3)[:, :1])
+    with pytest.raises(ValueError):
+        SvdFactorization(u=np.eye(4), sigma=sigma, v=np.eye(4))
+
+
+def _rank_path_inputs():
+    rng = np.random.default_rng(31)
+    graded = rng.normal(size=(16, 12)) * np.logspace(0, -10, 12)
+    rankdef = rng.normal(size=(20, 3)) @ rng.normal(size=(3, 14))
+    diag = diag_to_columns(closed_form_inverse(TridiagParams(0.5, 0.5, 1.0, 40)))
+    return {
+        "square": rng.normal(size=(24, 24)),
+        "tall": rng.normal(size=(40, 9)),
+        "wide": rng.normal(size=(7, 30)),
+        "rankdef": rankdef,
+        "graded": graded,
+        "diag": diag,
+    }
+
+
+@pytest.mark.parametrize("name", ["square", "tall", "wide", "rankdef", "graded", "diag"])
+def test_thin_svd_rank_path_matches_the_full_call(name):
+    a = _rank_path_inputs()[name]
+    full = thin_svd(a)
+    r = min(a.shape)
+    tall = a.shape[0] >= a.shape[1]
+    norm = np.linalg.norm(a)
+    for k in (0, 1, 5, r):
+        f = thin_svd(a, rank=k)
+        assert f.u.shape == (a.shape[0], k) and f.v.shape == (a.shape[1], k)
+        assert f.rank_limit == k
+        # Same rotations: sigma, the counters and the long side's vectors
+        # are bit-identical to the full call's.
+        assert np.array_equal(f.sigma, full.sigma)
+        assert (f.sweeps, f.rotations) == (full.sweeps, full.rotations)
+        free, other = (f.u, f.v) if tall else (f.v, f.u)
+        assert np.array_equal(free, (full.u if tall else full.v)[:, :k])
+        if k == 0:
+            continue
+        assert np.abs(other.T @ other - np.eye(k)).max() < 1e-13
+        recon = rank_k_approx(f, k)
+        assert np.abs(recon - rank_k_approx(full, k)).max() <= 1e-12 * norm
+
+
+def test_thin_svd_counts_pair_rotations_at_every_rank():
+    # Two columns make one pair: one rotation leaves them orthogonal, and
+    # the second sweep finds nothing to rotate.  Orthogonal columns need no
+    # rotation at all.
+    a = np.array([[2.0, 1.0], [1.0, 3.0], [0.5, -1.0]])
+    for rank in (None, 0, 1, 2):
+        f = thin_svd(a, rank=rank)
+        assert (f.sweeps, f.rotations) == (2, 1)
+    f = thin_svd(np.diag([3.0, 2.0, 1.0]))
+    assert (f.sweeps, f.rotations) == (1, 0)
+
+
+def test_thin_svd_rejects_bad_rank():
+    a = np.ones((5, 3))
+    for rank in (True, False, -1, 4, 2.0, "2"):
+        with pytest.raises(ValueError, match="rank"):
+            thin_svd(a, rank=rank)
+    assert thin_svd(a, rank=np.int64(3)).rank_limit == 3
+
+
+def test_thin_svd_rank_zero_does_not_build_the_long_factor():
+    # With rank=0 both QR factorizations return R only: the m x n Q1 is
+    # never built, which a full call holds on top of the QR's own copy.
+    a = np.random.default_rng(4).normal(size=(2400, 16))
+    peaks = {}
+    for rank in (None, 0):
+        tracemalloc.start()
+        try:
+            thin_svd(a, rank=rank)
+            peaks[rank] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[None] - a.nbytes // 2
+
+
+def test_truncated_factorization_bounds_rank_k_approx():
+    f = thin_svd(np.random.default_rng(3).normal(size=(6, 5)), rank=2)
+    assert rank_k_approx(f, 2).shape == (6, 5)
+    with pytest.raises(ValueError, match=r"rank must be in \[1, 2\], got 3"):
+        rank_k_approx(f, 3)
 
 
 def test_factorization_rejects_increasing_sigma():

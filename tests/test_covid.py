@@ -270,16 +270,29 @@ def test_short_rows_leave_gaps_and_extra_columns_are_ignored(tmp_path):
     assert np.array_equal(wide.tests, plain.tests)
 
 
-def test_duplicate_rule_looks_at_filled_cells(tmp_path):
+def test_duplicate_rule_counts_rows_not_filled_cells(tmp_path):
     rows = _linear_counts(["CA"], 3)
-    # A row whose counts are both empty fills nothing, so a later row for
-    # the same cell is not a duplicate ...
+    # A row whose counts are both empty fills nothing but still takes its
+    # cell, so a later row for the same cell is a duplicate ...
     path = _write_counts(tmp_path / "a.csv", [[rows[0][0], "CA", "", ""]] + rows)
-    load_state_counts(path, START, 3, states=["CA"])
-    # ... but any row after a filled one is, even an empty one.
+    with pytest.raises(DataError, match=r"duplicate row for state CA on .* \(line 3\)"):
+        load_state_counts(path, START, 3, states=["CA"])
+    # ... and so is any row after a filled one, even an empty one.
     path = _write_counts(tmp_path / "b.csv", rows + [[rows[0][0], "CA", "", ""]])
     with pytest.raises(DataError, match=r"duplicate row for state CA on .* \(line 12\)"):
         load_state_counts(path, START, 3, states=["CA"])
+
+
+@pytest.mark.parametrize("text", ["inf", "-5", "nan"])
+@pytest.mark.parametrize("column, field", [(2, "positive"), (3, "totalTestResults")])
+def test_non_finite_and_negative_counts_are_data_errors(tmp_path, text, column, field):
+    rows = _linear_counts(["CA", "NY"], 3)
+    rows[5][column] = text
+    path = _write_counts(tmp_path / "c.csv", rows)
+    pattern = (rf"bad {field} value '{text}' for state {rows[5][1]} on "
+               rf"{rows[5][0]} \(line 7\)")
+    with pytest.raises(DataError, match=pattern):
+        load_state_counts(path, START, 3, states=["CA", "NY"])
 
 
 def test_error_line_numbers_are_physical_lines(tmp_path):
