@@ -166,13 +166,22 @@ def _jacobi(rows: np.ndarray, tn: int) -> tuple[int, int]:
     are rotated along with it.  Works in place and returns the sweeps run
     and the pair rotations applied.
 
-    Every number in the ``X`` half comes out the same whether or not
-    ``rows`` carries further columns: the products and norms read only
-    that half, and the rotation is elementwise.
+    A round that rotates h pairs gathers their rows into one h x 2 x w
+    block (w is the row width), multiplies it by the h 2 x 2 rotations in
+    one batched product, and scatters the result back.  Every number in
+    the ``X`` half comes out the same whether or not ``rows`` carries
+    further columns: the products and norms read only that half, and each
+    output column of a 2 x 2 product reads only its own two inputs, so it
+    gets the same bits at any row width.
+    ``test_thin_svd_rank_path_is_bit_identical_across_widths`` in
+    ``tests/test_core.py`` guards this.
     """
+    w = rows.shape[1]
     work = rows[:, :tn]
     rel2 = JACOBI_REL_TOL * JACOBI_REL_TOL
-    rounds = _round_robin(tn)
+    # Each round's pairs interleaved, p0 q0 p1 q1 ..., so that one gather
+    # and one scatter move the whole round.
+    rounds = [np.stack((p, q), axis=1).ravel() for p, q in _round_robin(tn)]
     rotations = 0
 
     for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
@@ -180,32 +189,36 @@ def _jacobi(rows: np.ndarray, tn: int) -> tuple[int, int]:
         # are cheap estimates that drift over many rotations.
         norms = (work * work).sum(axis=1)
         rotated = False
-        for p, q in rounds:
-            rp = rows[p]
-            rq = rows[q]
-            apq = np.einsum("ij,ij->i", rp[:, :tn], rq[:, :tn])
-            app = norms[p]
-            aqq = norms[q]
+        for pq in rounds:
+            blk = rows[pq].reshape(-1, 2, w)
+            apq = np.einsum("ij,ij->i", blk[:, 0, :tn], blk[:, 1, :tn])
+            app = norms[pq[0::2]]
+            aqq = norms[pq[1::2]]
             # An estimate that drifted to zero or below must not let a pair
             # with apq == 0 through: the angle below divides by apq.
             act = apq * apq > rel2 * np.abs(app * aqq)
             if not act.all():
                 if not act.any():
                     continue
-                p, q, rp, rq = p[act], q[act], rp[act], rq[act]
+                pq = pq.reshape(-1, 2)[act].ravel()
+                blk = blk[act]
                 apq, app, aqq = apq[act], app[act], aqq[act]
             rotated = True
-            rotations += p.shape[0]
+            rotations += apq.shape[0]
             zeta = (aqq - app) / (2.0 * apq)
             t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            cc = c[:, None]
-            sc = s[:, None]
-            rows[p] = cc * rp - sc * rq
-            rows[q] = cc * rq + sc * rp
-            norms[p] = app - t * apq
-            norms[q] = aqq + t * apq
+            # Row pair (p, q) becomes (c p - s q, s p + c q).
+            g = np.empty((c.shape[0], 2, 2))
+            g[:, 0, 0] = c
+            g[:, 1, 1] = c
+            g[:, 1, 0] = s
+            np.negative(s, out=g[:, 0, 1])
+            rows[pq] = np.matmul(g, blk).reshape(-1, w)
+            shift = t * apq
+            norms[pq[0::2]] = app - shift
+            norms[pq[1::2]] = aqq + shift
         if not rotated:
             return sweeps, rotations
     raise SvdConvergenceError(
@@ -228,14 +241,16 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
 
     Each sweep visits every column pair of ``X`` once in round-robin order
     (Brent and Luk): a sweep over n columns is n - 1 rounds (n when n is
-    odd), and each round holds up to n / 2 disjoint pairs that are rotated
-    together with array operations.  The rotation for a pair (p, q)
-    orthogonalizes the two columns and, in the full factorization, is
-    applied to the same columns of ``Q2 V_X``.  A pair is rotated when its
-    cosine exceeds ``JACOBI_REL_TOL``, whatever the size of the two
-    columns, which keeps small singular values accurate relative to
-    themselves.  Convergence is declared after a sweep with no rotations.
-    At most ``JACOBI_MAX_SWEEPS`` sweeps run, the final rotation-free one
+    odd), and each round holds up to n / 2 disjoint pairs.  A round
+    gathers the pairs that need a rotation into one block, multiplies it
+    by their 2 x 2 rotations in one batched ``numpy.matmul``, and scatters
+    the result back.  The rotation for a pair (p, q) orthogonalizes the
+    two columns and, in the full factorization, is applied to the same
+    columns of ``Q2 V_X``.  A pair is rotated when its cosine exceeds
+    ``JACOBI_REL_TOL``, whatever the size of the two columns, which keeps
+    small singular values accurate relative to themselves.  Convergence is
+    declared after a sweep with no rotations.  At most
+    ``JACOBI_MAX_SWEEPS`` sweeps run, the final rotation-free one
     included; if the last of them still rotated,
     :class:`SvdConvergenceError` is raised.  The sweeps run and the pair
     rotations applied are reported in :attr:`SvdFactorization.sweeps` and
@@ -376,15 +391,19 @@ def approx_report(a, k: int, f: SvdFactorization | None = None,
                   approx: np.ndarray | None = None) -> ApproxReport:
     """Approximate ``a`` at rank ``k`` and report the cost and the error.
 
-    Pass a precomputed factorization ``f`` of ``a`` (full, or holding at
-    least k triples) to amortize the SVD across several ranks, or the
-    rank-k reconstruction ``approx`` itself when the caller builds it
-    anyway.  ``a`` must be nonzero for the relative error to be defined.
+    Without ``f`` or ``approx``, ``a`` is factored to its leading k
+    triples.  Pass a precomputed factorization ``f`` of ``a`` (full, or
+    holding at least k triples) to amortize the SVD across several ranks,
+    or the rank-k reconstruction ``approx`` itself when the caller builds
+    it anyway.  ``a`` must be nonzero for the relative error to be defined.
     """
     m = as_matrix(a)
+    # Checked first, so that k = 0 is refused as a rank before it reaches
+    # thin_svd, which accepts it.
+    parameters = parameter_count(m.shape[0], m.shape[1], int(k))
     if approx is None:
         if f is None:
-            f = thin_svd(m)
+            f = thin_svd(m, rank=k)
         approx = rank_k_approx(f, k)
     elif np.shape(approx) != m.shape:
         raise ValueError(f"shape mismatch: {m.shape} vs {np.shape(approx)}")
@@ -394,7 +413,7 @@ def approx_report(a, k: int, f: SvdFactorization | None = None,
         rows=m.shape[0],
         cols=m.shape[1],
         rank=int(k),
-        parameters=parameter_count(m.shape[0], m.shape[1], int(k)),
+        parameters=parameters,
         abs_error_sq=abs_sq,
         rel_error=math.sqrt(abs_sq) / frobenius_norm(m),
     )

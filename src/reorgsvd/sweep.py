@@ -85,11 +85,10 @@ def _rank_for_target(sigma: np.ndarray, target: float) -> tuple[int, float]:
     if total == 0.0:
         raise ValueError("relative error undefined for a zero matrix")
     budget = target * target * total
-    for k in range(1, sq.size + 1):
-        if tails[k] <= budget:
-            return k, math.sqrt(tails[k] / total)
-    # Unreachable: the final tail is exactly zero.
-    return sq.size, 0.0
+    # The tails never increase and the last is exactly zero, so the first
+    # k >= 1 with tails[k] <= budget exists and a binary search finds it.
+    k = int(np.searchsorted(-tails[1:], -budget, side="left")) + 1
+    return k, math.sqrt(tails[k] / total)
 
 
 def min_rank_for_error(a, target: float, f: SvdFactorization | None = None) -> tuple[int, float]:

@@ -276,6 +276,44 @@ def test_thin_svd_rank_path_matches_the_full_call(name):
         assert np.abs(recon - rank_k_approx(full, k)).max() <= 1e-12 * norm
 
 
+def _width_input(n, shape):
+    rng = np.random.default_rng(n)
+    if shape == "square":
+        return rng.normal(size=(n, n))
+    if shape == "tall":
+        return rng.normal(size=(n + 13, n))
+    if shape == "wide":
+        return rng.normal(size=(n, 3 * n + 1))
+    r = max(1, n // 3)
+    return rng.normal(size=(n + 2, r)) @ rng.normal(size=(r, n))
+
+
+# Whether a column of the 2 x 2 product keeps its bits depends on the row
+# width n (where it falls in the BLAS kernel's column blocks), not on the
+# input's shape, so the small widths take the four shapes in turn.
+_WIDTH_SHAPES = ("square", "tall", "wide", "rankdef")
+_WIDTH_CASES = [(n, _WIDTH_SHAPES[n % 4]) for n in range(1, 41)]
+_WIDTH_CASES += [(65, shape) for shape in _WIDTH_SHAPES]
+_WIDTH_CASES += [(129, "square"), (129, "wide")]
+
+
+@pytest.mark.parametrize("n, shape", _WIDTH_CASES)
+def test_thin_svd_rank_path_is_bit_identical_across_widths(n, shape):
+    # The full call rotates rows [X | Q2 V_X] that are 2n wide, a truncated
+    # one rows of X alone, n wide.  Each column of a round's 2 x 2 product
+    # must come out with the same bits at either width, or sigma, the
+    # counters and the long side's vectors drift apart between ranks.
+    a = _width_input(n, shape)
+    tall = a.shape[0] >= a.shape[1]
+    full = thin_svd(a)
+    for k in sorted({0, 1, n // 2, n}):
+        f = thin_svd(a, rank=k)
+        assert np.array_equal(f.sigma, full.sigma), k
+        assert (f.sweeps, f.rotations) == (full.sweeps, full.rotations), k
+        free, full_free = (f.u, full.u) if tall else (f.v, full.v)
+        assert np.array_equal(free, full_free[:, :k]), k
+
+
 def test_thin_svd_counts_pair_rotations_at_every_rank():
     # Two columns make one pair: one rotation leaves them orthogonal, and
     # the second sweep finds nothing to rotate.  Orthogonal columns need no
@@ -381,10 +419,17 @@ def test_approx_report_consistency():
     assert rep.abs_error_sq == pytest.approx(
         rep.rel_error**2 * frobenius_norm(a) ** 2, rel=1e-12
     )
+    with pytest.raises(ValueError, match="k must be a positive integer, got 0"):
+        approx_report(a, 0)
+    with pytest.raises(ValueError, match="rank"):
+        approx_report(a, 10)
 
 
 def test_approx_report_accepts_precomputed_factorization():
     rng = np.random.default_rng(13)
     a = rng.normal(size=(8, 8))
-    f = thin_svd(a)
-    assert approx_report(a, 2, f=f) == approx_report(a, 2)
+    rep = approx_report(a, 2)
+    # Without f the report factors a to the two triples it reads.
+    assert rep == approx_report(a, 2, f=thin_svd(a, rank=2))
+    full = approx_report(a, 2, f=thin_svd(a))
+    assert rep.rel_error == pytest.approx(full.rel_error, rel=1e-12)

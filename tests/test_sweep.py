@@ -1,8 +1,11 @@
 """Rank search and the plain-versus-tiled parameter sweep."""
 
+import math
+
 import numpy as np
 import pytest
 
+import reorgsvd.sweep as sweep
 from reorgsvd import (
     GrayImage,
     crop_to_tile_multiple,
@@ -67,6 +70,42 @@ def test_min_rank_boundary_target_is_accepted():
     k, err = min_rank_for_error(a, np.sqrt(0.5))
     assert k == 1
     assert err == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+
+def _rank_by_scan(sigma, target):
+    # Reference: the first k whose tail is within the budget, by a linear
+    # scan over the same reversed-cumsum tails.
+    sq = sigma * sigma
+    tails = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
+    budget = target * target * tails[0]
+    k = next(k for k in range(1, sq.size + 1) if tails[k] <= budget)
+    return k, math.sqrt(tails[k] / tails[0])
+
+
+def test_rank_for_target_matches_a_linear_scan():
+    rng = np.random.default_rng(44)
+    spectra = [
+        # Squares and tails exact: target 0.5 puts the budget (4) exactly
+        # on the k = 3 tail, which is accepted.
+        np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0]),
+        np.array([3.0, 0.0, 0.0]),
+        np.array([1.0]),
+    ]
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        sig = np.sort(rng.exponential(size=n) ** rng.uniform(1, 8))[::-1]
+        # Up to n - 1 trailing zeros.
+        sig[n - int(rng.integers(0, n)):] = 0.0
+        spectra.append(sig)
+    assert sweep._rank_for_target(spectra[0], 0.5) == (3, 0.5)
+    for sig in spectra:
+        tails = np.cumsum((sig * sig)[::-1])[::-1]
+        targets = [*rng.uniform(0.0, 1.0, size=5), 1e-300, 0.999999]
+        # Each tail taken as the exact budget, where representable.
+        targets += [math.sqrt(t / tails[0]) for t in tails[1:]]
+        for target in targets:
+            if 0.0 < target < 1.0:
+                assert sweep._rank_for_target(sig, target) == _rank_by_scan(sig, target)
 
 
 def test_min_rank_validates_inputs():
