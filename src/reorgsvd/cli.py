@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import datetime as dt
 import os
 import sys
@@ -29,44 +30,40 @@ from .covid import DataError, covid_experiment, load_state_timeseries
 from .pgm import GrayImage, PgmError, load_gray_image, write_gray_image
 from .report import SCHEMA_VERSION, dump, format_float
 from .reshape import columns_to_tiles, tile_to_columns
-from .sweep import crop_to_tile_multiple, tile_sweep
+from .sweep import SweepRecord, crop_to_tile_multiple, tile_sweep
 from .tridiag import TridiagParams, certify_rank1_gap
 
 __all__ = ["main"]
 
-_SWEEP_FIELDS = (
-    "image",
-    "method",
-    "tile_rows",
-    "tile_cols",
-    "rows",
-    "cols",
-    "target_rel_error",
-    "achieved_rank",
-    "achieved_rel_error",
-    "parameters",
-    "winner",
-)
+
+def _list_of(kind, noun: str):
+    """Argument type for a comma-separated list of ``kind`` values."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [kind(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}s, got {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one {noun}")
+        return values
+
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
+_int_list = _list_of(int, "integer")
+_float_list = _list_of(float, "number")
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
-    return values
+def _csv_cell(value) -> str:
+    """A sweep CSV cell: empty for None, lowercase booleans, 17-digit floats."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
 
 
 def _cmd_approx(args) -> int:
@@ -171,24 +168,11 @@ def _cmd_sweep(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SWEEP_FIELDS)
+        names = [field.name for field in dataclasses.fields(SweepRecord)]
+        writer.writerow(names)
         for records in per_image:
             for r in records:
-                writer.writerow(
-                    [
-                        r.image,
-                        r.method,
-                        "" if r.tile_rows is None else r.tile_rows,
-                        "" if r.tile_cols is None else r.tile_cols,
-                        r.rows,
-                        r.cols,
-                        format_float(r.target_rel_error),
-                        r.achieved_rank,
-                        format_float(r.achieved_rel_error),
-                        r.parameters,
-                        "true" if r.winner else "false",
-                    ]
-                )
+                writer.writerow([_csv_cell(getattr(r, name)) for name in names])
 
     # Per-target win counts over the whole directory, for a quick read.
     for target in args.targets:
@@ -271,7 +255,7 @@ def _cmd_verify(args) -> int:
     first_win = None
     for n in args.sizes:
         cert = certify_rank1_gap(TridiagParams(args.alpha, args.beta, args.gamma, n))
-        violations = cert.violations()
+        violations = list(cert.violations())
         any_violation = any_violation or bool(violations)
         if first_win is None and cert.reorg_wins:
             first_win = n
@@ -282,23 +266,16 @@ def _cmd_verify(args) -> int:
         )
         for line in violations:
             print(f"  violation: {line}")
-        reports.append(
-            {
-                "n": n,
-                "top_singular_value": cert.top_singular_value,
-                "spectral_bound": cert.spectral_bound,
-                "frob_sq": cert.frob_sq,
-                "diag_norm_sq": cert.diag_norm_sq,
-                "plain_rank1_err_sq": cert.plain_rank1_err_sq,
-                "reorg_rank1_err_sq": cert.reorg_rank1_err_sq,
-                "rate": cert.rate,
-                "remainder": cert.remainder,
-                "rank1_gap": cert.rank1_gap,
-                "reorg_wins": cert.reorg_wins,
-                "certified": cert.certified,
-                "violations": list(cert.violations()),
-            }
+        entry = dataclasses.asdict(cert)
+        for name in ("alpha", "beta", "gamma"):
+            del entry[name]
+        entry.update(
+            rank1_gap=cert.rank1_gap,
+            reorg_wins=cert.reorg_wins,
+            certified=not violations,
+            violations=violations,
         )
+        reports.append(entry)
 
     if args.out:
         out_path = Path(args.out)

@@ -387,24 +387,22 @@ class ApproxReport:
     rel_error: float
 
 
-def approx_report(a, k: int, f: SvdFactorization | None = None,
-                  approx: np.ndarray | None = None) -> ApproxReport:
+def approx_report(a, k: int, approx: np.ndarray | None = None) -> ApproxReport:
     """Approximate ``a`` at rank ``k`` and report the cost and the error.
 
-    Without ``f`` or ``approx``, ``a`` is factored to its leading k
-    triples.  Pass a precomputed factorization ``f`` of ``a`` (full, or
-    holding at least k triples) to amortize the SVD across several ranks,
-    or the rank-k reconstruction ``approx`` itself when the caller builds
-    it anyway.  ``a`` must be nonzero for the relative error to be defined.
+    Without ``approx``, ``a`` is factored to its leading k triples.  Pass
+    the rank-k reconstruction ``approx`` itself when the caller builds it
+    anyway.  ``a`` must be nonzero for the relative error to be defined.
     """
     m = as_matrix(a)
     # Checked first, so that k = 0 is refused as a rank before it reaches
     # thin_svd, which accepts it.
     parameters = parameter_count(m.shape[0], m.shape[1], int(k))
+    norm = frobenius_norm(m)
+    if norm == 0.0:
+        raise ValueError("relative error undefined for a zero matrix")
     if approx is None:
-        if f is None:
-            f = thin_svd(m, rank=k)
-        approx = rank_k_approx(f, k)
+        approx = rank_k_approx(thin_svd(m, rank=k), k)
     elif np.shape(approx) != m.shape:
         raise ValueError(f"shape mismatch: {m.shape} vs {np.shape(approx)}")
     diff = (m - approx).ravel()
@@ -415,5 +413,5 @@ def approx_report(a, k: int, f: SvdFactorization | None = None,
         rank=int(k),
         parameters=parameters,
         abs_error_sq=abs_sq,
-        rel_error=math.sqrt(abs_sq) / frobenius_norm(m),
+        rel_error=math.sqrt(abs_sq) / norm,
     )

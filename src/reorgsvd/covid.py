@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, parameter_count, rank_k_approx, relative_error, thin_svd
+from .core import approx_report, as_matrix, rank_k_approx, thin_svd
 from .reshape import stack_column_groups, unstack_column_groups
 
 __all__ = [
@@ -338,7 +338,7 @@ def covid_experiment(panel: SeriesPanel, groups: int, rank: int) -> CovidReport:
     column-group stacking, at matched rank.  ``groups`` must divide the day
     count; with ``groups=1`` the two routes are identical by construction."""
     m = panel.matrix
-    n_ent, n_days = m.shape
+    n_days = m.shape[1]
     g = int(groups)
     if g < 1 or n_days % g:
         raise ValueError(f"groups must divide the {n_days} days, got {groups}")
@@ -349,18 +349,19 @@ def covid_experiment(panel: SeriesPanel, groups: int, rank: int) -> CovidReport:
         raise ValueError(f"rank must be in [1, {limit}], got {rank}")
 
     plain_recon = rank_k_approx(thin_svd(m, rank=k), k)
-    stacked_recon_raw = rank_k_approx(thin_svd(stacked, rank=k), k)
-    stacked_recon = unstack_column_groups(stacked_recon_raw, g)
+    stacked_recon = rank_k_approx(thin_svd(stacked, rank=k), k)
+    plain_rep = approx_report(m, k, approx=plain_recon)
+    stacked_rep = approx_report(stacked, k, approx=stacked_recon)
 
     return CovidReport(
         entities=panel.entities,
         days=n_days,
         groups=g,
         rank=k,
-        plain_rel_error=relative_error(m, plain_recon),
-        stacked_rel_error=relative_error(stacked, stacked_recon_raw),
-        plain_parameters=parameter_count(n_ent, n_days, k),
-        stacked_parameters=parameter_count(g * n_ent, n_days // g, k),
+        plain_rel_error=plain_rep.rel_error,
+        stacked_rel_error=stacked_rep.rel_error,
+        plain_parameters=plain_rep.parameters,
+        stacked_parameters=stacked_rep.parameters,
         plain_recon=plain_recon,
-        stacked_recon=stacked_recon,
+        stacked_recon=unstack_column_groups(stacked_recon, g),
     )

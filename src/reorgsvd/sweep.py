@@ -124,47 +124,30 @@ def tile_sweep(
         if not 0.0 < t < 1.0:
             raise ValueError(f"target must be in (0, 1), got {t}")
 
-    rows, cols = img.shape
-    plain_f = thin_svd(img.matrix, rank=0)
-    unfolded = []
+    # (tile edge, or None for the plain method; SVD shape; singular values)
+    layouts = [(None, img.shape, thin_svd(img.matrix, rank=0).sigma)]
     for s in tile_sizes:
         cropped = crop_to_tile_multiple(img, s, s)
         x, scheme = tile_to_columns(cropped.matrix, s, s)
-        unfolded.append((int(s), scheme, thin_svd(x, rank=0)))
+        layouts.append((int(s), scheme.unfolded_shape, thin_svd(x, rank=0).sigma))
 
     out: list[SweepRecord] = []
     for target in targets:
-        k, err = _rank_for_target(plain_f.sigma, target)
-        group = [
-            SweepRecord(
-                image=image_name,
-                method="plain",
-                tile_rows=None,
-                tile_cols=None,
-                rows=rows,
-                cols=cols,
-                target_rel_error=float(target),
-                achieved_rank=k,
-                achieved_rel_error=err,
-                parameters=parameter_count(rows, cols, k),
-                winner=False,
-            )
-        ]
-        for s, scheme, f in unfolded:
-            k, err = _rank_for_target(f.sigma, target)
-            ur, uc = scheme.unfolded_shape
+        group = []
+        for edge, (rows, cols), sigma in layouts:
+            k, err = _rank_for_target(sigma, target)
             group.append(
                 SweepRecord(
                     image=image_name,
-                    method="tiled",
-                    tile_rows=s,
-                    tile_cols=s,
-                    rows=ur,
-                    cols=uc,
+                    method="plain" if edge is None else "tiled",
+                    tile_rows=edge,
+                    tile_cols=edge,
+                    rows=rows,
+                    cols=cols,
                     target_rel_error=float(target),
                     achieved_rank=k,
                     achieved_rel_error=err,
-                    parameters=parameter_count(ur, uc, k),
+                    parameters=parameter_count(rows, cols, k),
                     winner=False,
                 )
             )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frobenius_norm, rank_k_approx, thin_svd
+from .core import approx_report, frobenius_norm, rank_k_approx, thin_svd
 from .reshape import diag_to_columns
 
 __all__ = [
@@ -256,13 +256,6 @@ class Rank1Certificate:
         return self.reorg_rank1_err_sq < self.plain_rank1_err_sq
 
 
-def _rank1_err_sq(m: np.ndarray) -> tuple[float, float]:
-    """(top singular value, squared rank-1 truncation error), measured."""
-    f = thin_svd(m, rank=1)
-    diff = (m - rank_k_approx(f, 1)).ravel()
-    return float(f.sigma[0]), float(diff @ diff)
-
-
 def certify_rank1_gap(p: TridiagParams) -> Rank1Certificate:
     """Measure the rank-1 errors of the inverse in both layouts and bundle
     them with the closed forms.  Needs n >= 2 for a rank-1 truncation to
@@ -270,20 +263,21 @@ def certify_rank1_gap(p: TridiagParams) -> Rank1Certificate:
     if p.n < 2:
         raise ValueError(f"certification needs n >= 2, got {p.n}")
     inv = closed_form_inverse(p)
-    sigma1, plain_err = _rank1_err_sq(inv)
-    _, reorg_err = _rank1_err_sq(diag_to_columns(inv))
+    f = thin_svd(inv, rank=1)
+    plain = approx_report(inv, 1, approx=rank_k_approx(f, 1))
+    reorg = approx_report(diag_to_columns(inv), 1)
     diag = np.diagonal(inv)
     return Rank1Certificate(
         alpha=p.alpha,
         beta=p.beta,
         gamma=p.gamma,
         n=p.n,
-        top_singular_value=sigma1,
+        top_singular_value=float(f.sigma[0]),
         spectral_bound=spectral_norm_bound(p),
         frob_sq=frobenius_norm(inv) ** 2,
         diag_norm_sq=float(diag @ diag),
-        plain_rank1_err_sq=plain_err,
-        reorg_rank1_err_sq=reorg_err,
+        plain_rank1_err_sq=plain.abs_error_sq,
+        reorg_rank1_err_sq=reorg.abs_error_sq,
         rate=linear_rate(p),
         remainder=remainder_term(p),
     )

@@ -100,6 +100,23 @@ def test_approx_usage_errors_exit_2(image_dir, tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["approx", "x.pgm", "--ranks", "1,x"], "expected comma-separated integers, got '1,x'"),
+        (["approx", "x.pgm", "--ranks", ","], "expected at least one integer"),
+        (["sweep", "d", "--tile-sizes", "4", "--targets", "0.1,y"],
+         "expected comma-separated numbers, got '0.1,y'"),
+        (["sweep", "d", "--tile-sizes", "4", "--targets", ","], "expected at least one number"),
+    ],
+)
+def test_malformed_lists_exit_2(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_approx_data_errors_exit_1(image_dir, tmp_path, capsys):
     rc = cli.main(
         ["approx", str(image_dir / "missing.pgm"), "--ranks", "1", "--out",
@@ -120,6 +137,14 @@ def test_approx_data_errors_exit_1(image_dir, tmp_path, capsys):
     )
     assert rc == 1
     assert "rank must be in [1, 32], got 33" in capsys.readouterr().err
+
+
+def test_approx_black_image_exits_1(tmp_path, capsys):
+    write_gray_image(GrayImage.from_raw(np.zeros((6, 5))), tmp_path / "black.pgm")
+    rc = cli.main(["approx", str(tmp_path / "black.pgm"), "--ranks", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "relative error undefined for a zero matrix" in capsys.readouterr().err
 
 
 def test_approx_builds_each_reconstruction_once(image_dir, tmp_path, monkeypatch):
@@ -155,6 +180,28 @@ def test_sweep_parallel_output_matches_sequential(image_dir, tmp_path, monkeypat
         assert int(r["parameters"]) == int(r["achieved_rank"]) * (
             int(r["rows"]) + int(r["cols"])
         )
+
+
+def test_sweep_csv_columns_and_cell_text(tmp_path):
+    # Entries are powers of two with one per column, one per 2x2 tile and a
+    # distinct position in each tile, so the plain matrix and its 2x2
+    # unfolding both have exactly orthogonal columns and sigma = 1, 1/2,
+    # 1/4, 1/8 with no rounding; the 4x4 tile unfolds to one 16x1 column.
+    d = tmp_path / "pin"
+    d.mkdir()
+    (d / "d.pgm").write_text("P2\n4 4\n8\n8 0 0 0\n0 0 2 0\n0 4 0 0\n0 0 0 1\n")
+    out = tmp_path / "o.csv"
+    rc = cli.main(["sweep", str(d), "--tile-sizes", "2,4", "--targets", "0.3",
+                   "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines() == [
+        "image,method,tile_rows,tile_cols,rows,cols,target_rel_error,"
+        "achieved_rank,achieved_rel_error,parameters,winner",
+        # rank 2 leaves sqrt((1/16 + 1/64) / (85/64)) = sqrt(1/17)
+        "d.pgm,plain,,,4,4,0.29999999999999999,2,0.24253562503633297,16,true",
+        "d.pgm,tiled,2,2,4,4,0.29999999999999999,2,0.24253562503633297,16,false",
+        "d.pgm,tiled,4,4,16,1,0.29999999999999999,1,0,17,false",
+    ]
 
 
 def test_sweep_empty_directory_exits_1(tmp_path, capsys):

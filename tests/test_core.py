@@ -429,7 +429,9 @@ def test_approx_report_accepts_precomputed_factorization():
     rng = np.random.default_rng(13)
     a = rng.normal(size=(8, 8))
     rep = approx_report(a, 2)
-    # Without f the report factors a to the two triples it reads.
-    assert rep == approx_report(a, 2, f=thin_svd(a, rank=2))
-    full = approx_report(a, 2, f=thin_svd(a))
-    assert rep.rel_error == pytest.approx(full.rel_error, rel=1e-12)
+    # Without approx the report factors a to the two triples it reads.
+    assert rep == approx_report(a, 2, approx=rank_k_approx(thin_svd(a, rank=2), 2))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        approx_report(a, 2, approx=np.zeros((8, 7)))
+    with pytest.raises(ValueError, match="zero matrix"):
+        approx_report(np.zeros((3, 4)), 1)
