@@ -359,7 +359,7 @@ def main(argv=None) -> int:
             args.tile_rows = args.tile_cols = args.tile
         if args.method == "tiled" and (args.tile_rows is None or args.tile_cols is None):
             parser.error("--method tiled needs --tile or both --tile-rows and --tile-cols")
-        if args.method == "plain" and args.tile_rows is not None:
+        if args.method == "plain" and (args.tile_rows is not None or args.tile_cols is not None):
             parser.error("tile sizes only apply to --method tiled")
 
     try:

@@ -79,10 +79,10 @@ class SvdFactorization:
     ``sigma`` has length min(rows, cols) and is nonnegative and
     non-increasing.  Numerically zero singular values are kept (as the tiny
     measured values) so its length depends only on the input shape.  ``u``
-    is rows x k and ``v`` is cols x k with k <= len(sigma): a full
-    factorization holds every triple (k = len(sigma)), a truncated one from
-    ``thin_svd(a, rank=k)`` holds the leading k singular vectors and still
-    every singular value.  ``sweeps`` is the number of Jacobi sweeps
+    is rows x k and ``v`` is cols x k with k <= len(sigma): the leading k
+    singular vectors, as ``thin_svd(a, rank=k)`` returns them, with every
+    singular value still held; ``thin_svd(a)`` holds every triple
+    (k = len(sigma)).  ``sweeps`` is the number of Jacobi sweeps
     :func:`thin_svd` ran, the final rotation-free one included, and
     ``rotations`` the number of pair rotations it applied; both are 0 for a
     factorization built by hand.
@@ -106,7 +106,7 @@ class SvdFactorization:
     @property
     def rank_limit(self) -> int:
         """Number of singular triples stored: the vector columns held, which
-        is min(rows, cols) for a full factorization."""
+        is min(rows, cols) for ``thin_svd(a)``."""
         return self.u.shape[1]
 
 
@@ -160,38 +160,30 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _jacobi(rows: np.ndarray, tn: int) -> tuple[int, int]:
-    """One-sided Jacobi on ``X``, held as the first ``tn`` columns of
-    ``rows`` (row j is column j of ``X``).  Any further columns of a row
-    are rotated along with it.  Works in place and returns the sweeps run
-    and the pair rotations applied.
+def _jacobi(x: np.ndarray) -> tuple[int, int]:
+    """One-sided Jacobi on the n x n ``X``, held one column per row (row j
+    of ``x`` is column j of ``X``).  Works in place and returns the sweeps
+    run and the pair rotations applied.
 
-    A round that rotates h pairs gathers their rows into one h x 2 x w
-    block (w is the row width), multiplies it by the h 2 x 2 rotations in
-    one batched product, and scatters the result back.  Every number in
-    the ``X`` half comes out the same whether or not ``rows`` carries
-    further columns: the products and norms read only that half, and each
-    output column of a 2 x 2 product reads only its own two inputs, so it
-    gets the same bits at any row width.
-    ``test_thin_svd_rank_path_is_bit_identical_across_widths`` in
-    ``tests/test_core.py`` guards this.
+    A round that rotates h pairs gathers their rows into one h x 2 x n
+    block, multiplies it by the h 2 x 2 rotations in one batched product,
+    and scatters the result back.
     """
-    w = rows.shape[1]
-    work = rows[:, :tn]
+    n = x.shape[0]
     rel2 = JACOBI_REL_TOL * JACOBI_REL_TOL
     # Each round's pairs interleaved, p0 q0 p1 q1 ..., so that one gather
     # and one scatter move the whole round.
-    rounds = [np.stack((p, q), axis=1).ravel() for p, q in _round_robin(tn)]
+    rounds = [np.stack((p, q), axis=1).ravel() for p, q in _round_robin(n)]
     rotations = 0
 
     for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
         # Fresh squared column norms each sweep; the in-sweep updates below
         # are cheap estimates that drift over many rotations.
-        norms = (work * work).sum(axis=1)
+        norms = (x * x).sum(axis=1)
         rotated = False
         for pq in rounds:
-            blk = rows[pq].reshape(-1, 2, w)
-            apq = np.einsum("ij,ij->i", blk[:, 0, :tn], blk[:, 1, :tn])
+            blk = x[pq].reshape(-1, 2, n)
+            apq = np.einsum("ij,ij->i", blk[:, 0], blk[:, 1])
             app = norms[pq[0::2]]
             aqq = norms[pq[1::2]]
             # An estimate that drifted to zero or below must not let a pair
@@ -215,7 +207,7 @@ def _jacobi(rows: np.ndarray, tn: int) -> tuple[int, int]:
             g[:, 1, 1] = c
             g[:, 1, 0] = s
             np.negative(s, out=g[:, 0, 1])
-            rows[pq] = np.matmul(g, blk).reshape(-1, w)
+            x[pq] = np.matmul(g, blk).reshape(-1, n)
             shift = t * apq
             norms[pq[0::2]] = app - shift
             norms[pq[1::2]] = aqq + shift
@@ -228,16 +220,17 @@ def _jacobi(rows: np.ndarray, tn: int) -> tuple[int, int]:
 
 def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     """Thin SVD by QR-preconditioned one-sided Jacobi rotations
-    (Drmac and Veselic), in full or truncated to the leading ``rank``
-    singular triples.
+    (Drmac and Veselic), truncated to the leading ``rank`` singular
+    triples.
 
     Works on the tall orientation (the input is transposed first when it is
     wide, and the factors are swapped back at the end).  An m x n input is
     reduced to an n x n triangle before any rotation: ``A P = Q1 R1`` with
     the column order ``P`` of :func:`_pivot_order`, then ``R1.T = Q2 R2``,
-    both by ``numpy.linalg.qr``.  The Jacobi iteration runs on the lower
-    triangular ``X = R2.T``, whose columns are close to orthogonal already,
-    and ``A = (Q1 U_X) diag(sigma) (P Q2 V_X).T``.
+    both by ``numpy.linalg.qr``; only the R of the second is kept.  The
+    Jacobi iteration runs on the lower triangular ``X = R2.T``, whose
+    columns are close to orthogonal already, and ``A P Q2 = (Q1 U_X)
+    diag(sigma) V_X.T``, so the long side is ``U = Q1 U_X``.
 
     Each sweep visits every column pair of ``X`` once in round-robin order
     (Brent and Luk): a sweep over n columns is n - 1 rounds (n when n is
@@ -245,8 +238,7 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     gathers the pairs that need a rotation into one block, multiplies it
     by their 2 x 2 rotations in one batched ``numpy.matmul``, and scatters
     the result back.  The rotation for a pair (p, q) orthogonalizes the
-    two columns and, in the full factorization, is applied to the same
-    columns of ``Q2 V_X``.  A pair is rotated when its cosine exceeds
+    two columns.  A pair is rotated when its cosine exceeds
     ``JACOBI_REL_TOL``, whatever the size of the two columns, which keeps
     small singular values accurate relative to themselves.  Convergence is
     declared after a sweep with no rotations.  At most
@@ -256,31 +248,33 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     rotations applied are reported in :attr:`SvdFactorization.sweeps` and
     :attr:`SvdFactorization.rotations`.
 
-    ``rank=None`` (the default) returns every triple.  ``rank=k``, an
-    integer in [0, min(m, n)], returns every singular value and only the
-    leading k singular vectors on each side.  The rotations then act on the
-    n x n ``X`` alone, rows of n numbers instead of 2n, and ``Q2`` is never
-    formed; with ``rank=0`` neither is ``Q1``, and both QR factorizations
-    return R only.  ``sigma``, ``sweeps`` and ``rotations`` are
-    bit-identical to the full call's, and so are the k vectors on the long
-    side (``u`` for a tall or square input, ``v`` for a wide one), which
-    come from the same rotations.  The short side is ``A.T @ u_k``
-    (``A @ v_k`` for a wide input), made orthonormal by one QR whose column
-    signs follow the signs of the R diagonal (a zero counts as positive).
-    It agrees with the full call's columns to rounding: orthonormal to
-    about 1e-15, and the rank-k reconstruction within 1e-12 * ||A||_F of
-    the full call's (about 1e-13 on the inputs tested).
+    ``rank=k``, an integer in [0, min(m, n)], returns every singular value
+    and the leading k singular vectors on each side; ``rank=None`` (the
+    default) means k = min(m, n), every triple.  The rotations, and so
+    ``sigma``, ``sweeps``, ``rotations`` and the k vectors on the long
+    side (``u`` for a tall or square input, ``v`` for a wide one), do not
+    depend on k: a call at rank k returns the leading columns of the call
+    at full rank, bit for bit.  With ``rank=0`` ``Q1`` is not formed
+    either, and both QR factorizations return R only.  The short side is
+    ``A.T @ u_k`` (``A @ v_k`` for a wide input), made orthonormal by one
+    QR whose column signs follow the signs of the R diagonal (a zero
+    counts as positive).  It is orthonormal to about 1e-15 and inherits
+    the Jacobi stopping tolerance: at full rank the reconstruction is
+    within 1e-12 * ||A||_F of ``a`` (about 1e-13 on the inputs tested),
+    and at rank k within 1e-12 * ||A||_F * max(1, sigma_1 / gap) of
+    LAPACK's rank-k truncation, where gap = sigma_k - sigma_{k+1}.
     """
     m0 = as_matrix(a)
     transposed = m0.shape[0] < m0.shape[1]
     if transposed:
         m0 = m0.T
     tn = m0.shape[1]
-    if rank is not None:
-        if (not isinstance(rank, (int, np.integer)) or isinstance(rank, bool)
-                or not 0 <= rank <= tn):
-            raise ValueError(f"rank must be an integer in [0, {tn}], got {rank!r}")
-        rank = int(rank)
+    if rank is None:
+        rank = tn
+    elif (not isinstance(rank, (int, np.integer)) or isinstance(rank, bool)
+            or not 0 <= rank <= tn):
+        raise ValueError(f"rank must be an integer in [0, {tn}], got {rank!r}")
+    rank = int(rank)
     norm_f = math.sqrt(float(np.einsum("ij,ij->", m0, m0)))
 
     perm = _pivot_order(m0)
@@ -288,20 +282,12 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
         r1 = np.linalg.qr(m0[:, perm], mode="r")
     else:
         q1, r1 = np.linalg.qr(m0[:, perm])
-    if rank is None:
-        q2, r2 = np.linalg.qr(r1.T)
-        # Row j holds column j of X (row j of R2) followed by column j of
-        # Q2 V_X, so one row gather and one row scatter per round rotate
-        # both; V_X starts as the identity, so that half starts as Q2.T.
-        rows = np.concatenate((r2, q2.T), axis=1)
-        del q2, r2
-    else:
-        rows = np.linalg.qr(r1.T, mode="r")
+    # Row j holds column j of X = R2.T.
+    x = np.linalg.qr(r1.T, mode="r")
     del r1
-    sweeps, rotations = _jacobi(rows, tn)
-    work = rows[:, :tn]
+    sweeps, rotations = _jacobi(x)
 
-    sig = np.sqrt((work * work).sum(axis=1))
+    sig = np.sqrt((x * x).sum(axis=1))
     order = np.argsort(-sig, kind="stable")
     sig = sig[order]
     if rank == 0:
@@ -310,33 +296,27 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
             empty_u, empty_v = empty_v, empty_u
         return SvdFactorization(u=empty_u, sigma=sig, v=empty_v,
                                 sweeps=sweeps, rotations=rotations)
-    width = tn if rank is None else rank
-    rows = rows[order[:width]]
+    x = x[order[:rank]]
 
     # Left factor of X.  The k columns large enough to normalize lead,
     # because sig is sorted; the rest are replaced by an orthonormal basis
-    # of the complement of the first k.  A truncated call pads its columns
-    # with zeros to n, so that the product with Q1 is the same BLAS call as
-    # in the full factorization and its leading columns come out
-    # bit-identical.
+    # of the complement of the first k.  The columns are padded with zeros
+    # to n, so that the product with Q1 is the same BLAS call at every
+    # rank and its leading columns come out bit-identical.
     k = int(np.count_nonzero(sig > norm_f * NULL_COLUMN_RTOL))
-    kw = min(k, width)
+    kw = min(k, rank)
     ux = np.zeros((tn, tn))
-    ux[:, :kw] = (rows[:kw, :tn] / sig[:kw, None]).T
-    if kw < width:
-        ux[:, kw:width] = np.linalg.qr(ux[:, :kw], mode="complete")[0][:, kw:width]
-    if rank is None:
-        v = np.empty((tn, tn))
-        v[perm] = rows[:, tn:].T
-    del rows, work
+    ux[:, :kw] = (x[:kw] / sig[:kw, None]).T
+    if kw < rank:
+        ux[:, kw:rank] = np.linalg.qr(ux[:, :kw], mode="complete")[0][:, kw:rank]
+    del x
     u = q1 @ ux
     del q1, ux
-    if rank is not None:
-        u = np.ascontiguousarray(u[:, :width])
-        # A.T u_j = sigma_j v_j; the QR restores the orthogonality that
-        # rounding costs, and the sign fix keeps each column along A.T u_j.
-        v, r = np.linalg.qr(m0.T @ u)
-        v *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    u = np.ascontiguousarray(u[:, :rank])
+    # A.T u_j = sigma_j v_j; the QR restores the orthogonality that
+    # rounding costs, and the sign fix keeps each column along A.T u_j.
+    v, r = np.linalg.qr(m0.T @ u)
+    v *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     if transposed:
         u, v = v, u
     return SvdFactorization(u=u, sigma=sig, v=v, sweeps=sweeps, rotations=rotations)

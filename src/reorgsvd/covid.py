@@ -140,6 +140,12 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
     if len(set(codes)) != len(codes):
         raise DataError("duplicate state codes requested")
 
+    if (start.toordinal() - SMOOTH_WINDOW < dt.date.min.toordinal()
+            or start.toordinal() + days - 1 > dt.date.max.toordinal()):
+        raise DataError(
+            f"count window of {days} days from {start} (and the {SMOOTH_WINDOW} days "
+            f"before it) falls outside the calendar years 1-9999"
+        )
     first = start - dt.timedelta(days=SMOOTH_WINDOW)
     dates = [first + dt.timedelta(days=i) for i in range(days + SMOOTH_WINDOW)]
     window = {day: i for i, day in enumerate(dates)}

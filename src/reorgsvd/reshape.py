@@ -59,10 +59,6 @@ class TileScheme:
                 raise ValueError(f"{name} must be a positive integer, got {val!r}")
 
     @property
-    def source_shape(self) -> tuple[int, int]:
-        return (self.grid_rows * self.tile_rows, self.grid_cols * self.tile_cols)
-
-    @property
     def unfolded_shape(self) -> tuple[int, int]:
         return (self.tile_rows * self.tile_cols, self.grid_rows * self.grid_cols)
 

@@ -82,7 +82,7 @@ def test_approx_reruns_are_byte_identical(image_dir, tmp_path):
     assert a == b
 
 
-def test_approx_usage_errors_exit_2(image_dir, tmp_path):
+def test_approx_usage_errors_exit_2(image_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["approx", str(image_dir / "kron.pgm"), "--out", "x"])
     assert err.value.code == 2
@@ -98,6 +98,15 @@ def test_approx_usage_errors_exit_2(image_dir, tmp_path):
              "--tile-rows", "4", "--method", "tiled", "--ranks", "1", "--out", "x"]
         )
     assert err.value.code == 2
+    # A tile size with the plain method is refused whichever flag gives it.
+    for flag in ("--tile", "--tile-rows", "--tile-cols"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(
+                ["approx", str(image_dir / "kron.pgm"), "--method", "plain", flag, "4",
+                 "--ranks", "1", "--out", str(tmp_path / "o")]
+            )
+        assert err.value.code == 2
+        assert "tile sizes only apply to --method tiled" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -250,6 +259,20 @@ def test_covid_bad_csv_exits_1(tmp_path, capsys):
                    "--states", "CA", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "missing required columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", ["9999-12-01", "0001-01-03"])
+def test_covid_window_outside_the_calendar_exits_1(tmp_path, capsys, start):
+    # The window runs from 7 days before the start to the last day; either
+    # end past the last or before the first representable date is a data
+    # error, not an OverflowError from the date arithmetic.
+    path = write_counts(tmp_path / "c.csv", linear_counts(["CA"], 3))
+    rc = cli.main(["covid", str(path), "--start-date", start, "--days", "100",
+                   "--states", "CA", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: count window of 100 days from " + start)
+    assert "outside the calendar" in err
 
 
 @pytest.mark.filterwarnings("error")

@@ -70,6 +70,19 @@ def test_loader_errors(tmp_path):
         load_state_counts(_write_counts(tmp_path / "e.csv", rows), START, 0)
 
 
+def test_window_must_fit_the_calendar(tmp_path):
+    # The first and last representable windows load (and find no rows);
+    # one day further on either side is refused before any date is built.
+    path = _write_counts(tmp_path / "c.csv", _linear_counts(["CA"], 3))
+    for start, days in ((dt.date(1, 1, 8), 1), (dt.date(9999, 12, 31), 1),
+                        (dt.date(9999, 12, 1), 31)):
+        with pytest.raises(DataError, match="missing counts for CA"):
+            load_state_counts(path, start, days, states=["CA"])
+    for start, days in ((dt.date(1, 1, 7), 1), (dt.date(9999, 12, 1), 32)):
+        with pytest.raises(DataError, match="outside the calendar"):
+            load_state_counts(path, start, days, states=["CA"])
+
+
 def test_default_states_are_the_fifty_codes():
     assert len(US_STATE_CODES) == 50
     assert len(set(US_STATE_CODES)) == 50
