@@ -34,11 +34,12 @@ __all__ = [
 JACOBI_MAX_SWEEPS = 60
 JACOBI_REL_TOL = 1e-12
 
-# Column norms at or below NULL_COLUMN_RTOL * ||A||_F are treated as a
-# numerically zero singular value: the singular value is reported as the
-# tiny norm that was measured, but the left factor column is replaced by a
-# unit vector orthogonal to the columns already accepted, because
-# normalizing a vector of that size would amplify rounding noise.
+# Singular values under the rank cut of _pivot_order (eps * sqrt(n) times
+# the largest column norm) are exact zeros.  Those above it but at or below
+# NULL_COLUMN_RTOL * ||A||_F keep the value measured.  For both, the left
+# factor column is replaced by a unit vector orthogonal to the columns
+# already accepted, because normalizing a vector of that size would amplify
+# rounding noise.
 NULL_COLUMN_RTOL = 1e-13
 
 
@@ -77,12 +78,12 @@ class SvdFactorization:
     """Thin SVD ``a = u @ diag(sigma) @ v.T``, or its leading triples.
 
     ``sigma`` has length min(rows, cols) and is nonnegative and
-    non-increasing.  Numerically zero singular values are kept (as the tiny
-    measured values) so its length depends only on the input shape.  ``u``
-    is rows x k and ``v`` is cols x k with k <= len(sigma): the leading k
-    singular vectors, as ``thin_svd(a, rank=k)`` returns them, with every
-    singular value still held; ``thin_svd(a)`` holds every triple
-    (k = len(sigma)).  ``sweeps`` is the number of Jacobi sweeps
+    non-increasing; :func:`thin_svd` reports the singular values under its
+    rank cut as exact zeros, so the length depends only on the input shape.
+    ``u`` is rows x k and ``v`` is cols x k with k <= len(sigma): the
+    leading k singular vectors, as ``thin_svd(a, rank=k)`` returns them,
+    with every singular value still held; ``thin_svd(a)`` holds every
+    triple (k = len(sigma)).  ``sweeps`` is the number of Jacobi sweeps
     :func:`thin_svd` ran, the final rotation-free one included, and
     ``rotations`` the number of pair rotations it applied; both are 0 for a
     factorization built by hand.
@@ -110,31 +111,40 @@ class SvdFactorization:
         return self.u.shape[1]
 
 
-def _pivot_order(a: np.ndarray) -> np.ndarray:
+def _pivot_order(a: np.ndarray) -> tuple[np.ndarray, int]:
     """Column order of ``a`` for QR with column pivoting (Businger and
-    Golub): each step takes the column with the largest norm left after
-    projecting out the columns already taken.
+    Golub), and the numerical rank r it reveals: each step takes the column
+    with the largest norm left after projecting out the columns already
+    taken.
 
-    Runs modified Gram-Schmidt on a scratch copy held one column per row.
-    Once every residual is exactly zero the remaining columns keep their
-    order.
+    The steps stop once that largest residual norm is at most
+    eps * sqrt(n) * |r11|, with r11 the norm of the first column taken
+    (the absolute-error rule of LAPACK's xGEJSV), and r is the number of
+    steps taken; a zero matrix has r = 0.  Dropping the rest of R1 is a
+    backward error of at most n * eps * sigma_1.  Runs modified
+    Gram-Schmidt on a scratch copy held one column per row.  The columns
+    after the first r keep their order.
     """
     res = np.array(a.T)
-    order = np.arange(res.shape[0])
-    for k in range(res.shape[0] - 1):
+    n = res.shape[0]
+    order = np.arange(n)
+    for k in range(n):
         tail = res[k:]
         norms = np.einsum("ij,ij->i", tail, tail)
         j = k + int(np.argmax(norms))
         top = norms[j - k]
-        if top == 0.0:
-            break
+        if k == 0:
+            # Squared, like the norms.
+            cut = np.finfo(np.float64).eps ** 2 * n * top
+        if top <= cut:
+            return order, k
         if j != k:
             res[[k, j]] = res[[j, k]]
             order[[k, j]] = order[[j, k]]
         w = res[k] / math.sqrt(float(top))
         rest = res[k + 1:]
         rest -= np.outer(rest @ w, w)
-    return order
+    return order, n
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -224,13 +234,22 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     triples.
 
     Works on the tall orientation (the input is transposed first when it is
-    wide, and the factors are swapped back at the end).  An m x n input is
-    reduced to an n x n triangle before any rotation: ``A P = Q1 R1`` with
-    the column order ``P`` of :func:`_pivot_order`, then ``R1.T = Q2 R2``,
-    both by ``numpy.linalg.qr``; only the R of the second is kept.  The
-    Jacobi iteration runs on the lower triangular ``X = R2.T``, whose
-    columns are close to orthogonal already, and ``A P Q2 = (Q1 U_X)
-    diag(sigma) V_X.T``, so the long side is ``U = Q1 U_X``.
+    wide, and the factors are swapped back at the end).  An input whose
+    largest entry lies outside [2**-100, 2**100] is first scaled by a power
+    of two, which is exact, and ``sigma`` is scaled back, so that no
+    squared norm overflows or underflows.  An m x n input is reduced to an
+    r x r triangle before any rotation: ``A P = Q1 R1`` with the column
+    order ``P`` and the numerical rank r of :func:`_pivot_order`, then
+    ``R1[:r].T = Q2 R2``, both by ``numpy.linalg.qr``; only the R of the
+    second is kept.  The rank cut drops the rows of ``R1`` after the first
+    r pivots, whose residual column norms are at most eps * sqrt(n) * |r11|
+    (LAPACK's xGEJSV rule): a backward error of at most n * eps * sigma_1,
+    within LAPACK's own absolute error.  The n - r singular values it drops
+    are reported as exact zeros.  The Jacobi iteration runs on the lower
+    triangular ``X = R2.T``, whose columns are close to orthogonal already,
+    and ``A P Q2 = (Q1[:, :r] U_X) diag(sigma) V_X.T``, so the long side is
+    ``U = Q1[:, :r] U_X``, completed to k columns inside the range of
+    ``Q1`` where fewer than k singular values are usable.
 
     Each sweep visits every column pair of ``X`` once in round-robin order
     (Brent and Luk): a sweep over n columns is n - 1 rounds (n when n is
@@ -240,8 +259,10 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     the result back.  The rotation for a pair (p, q) orthogonalizes the
     two columns.  A pair is rotated when its cosine exceeds
     ``JACOBI_REL_TOL``, whatever the size of the two columns, which keeps
-    small singular values accurate relative to themselves.  Convergence is
-    declared after a sweep with no rotations.  At most
+    the singular values above the rank cut accurate relative to themselves
+    (columns graded from 1 to 1e-10 keep every one to about 1e-15
+    relative).  Convergence is declared after a sweep with no rotations.
+    At most
     ``JACOBI_MAX_SWEEPS`` sweeps run, the final rotation-free one
     included; if the last of them still rotated,
     :class:`SvdConvergenceError` is raised.  The sweeps run and the pair
@@ -275,26 +296,36 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
             or not 0 <= rank <= tn):
         raise ValueError(f"rank must be an integer in [0, {tn}], got {rank!r}")
     rank = int(rank)
+    # Squared norms, and the skip test's products of two of them, stay in
+    # range once the largest entry is in [0.5, 1).
+    scale = 0
+    top = float(np.abs(m0).max())
+    if top and not 2.0**-100 <= top <= 2.0**100:
+        scale = math.frexp(top)[1]
+        m0 = np.ldexp(m0, -scale)
     norm_f = math.sqrt(float(np.einsum("ij,ij->", m0, m0)))
 
-    perm = _pivot_order(m0)
+    perm, r = _pivot_order(m0)
     if rank == 0:
         r1 = np.linalg.qr(m0[:, perm], mode="r")
     else:
         q1, r1 = np.linalg.qr(m0[:, perm])
-    # Row j holds column j of X = R2.T.
-    x = np.linalg.qr(r1.T, mode="r")
+    # Rows r and below of R1 fall under the rank cut and are dropped, so X
+    # is r x r; row j holds column j of X = R2.T.
+    x = np.linalg.qr(r1[:r].T, mode="r")
     del r1
     sweeps, rotations = _jacobi(x)
 
     sig = np.sqrt((x * x).sum(axis=1))
     order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
+    # The singular values under the rank cut are exact zeros.
+    sig = np.concatenate((sig[order], np.zeros(tn - r)))
+    sigma = np.ldexp(sig, scale)
     if rank == 0:
         empty_u, empty_v = np.empty((m0.shape[0], 0)), np.empty((tn, 0))
         if transposed:
             empty_u, empty_v = empty_v, empty_u
-        return SvdFactorization(u=empty_u, sigma=sig, v=empty_v,
+        return SvdFactorization(u=empty_u, sigma=sigma, v=empty_v,
                                 sweeps=sweeps, rotations=rotations)
     x = x[order[:rank]]
 
@@ -306,7 +337,7 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     k = int(np.count_nonzero(sig > norm_f * NULL_COLUMN_RTOL))
     kw = min(k, rank)
     ux = np.zeros((tn, tn))
-    ux[:, :kw] = (x[:kw] / sig[:kw, None]).T
+    ux[:r, :kw] = (x[:kw] / sig[:kw, None]).T
     if kw < rank:
         ux[:, kw:rank] = np.linalg.qr(ux[:, :kw], mode="complete")[0][:, kw:rank]
     del x
@@ -315,11 +346,11 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     u = np.ascontiguousarray(u[:, :rank])
     # A.T u_j = sigma_j v_j; the QR restores the orthogonality that
     # rounding costs, and the sign fix keeps each column along A.T u_j.
-    v, r = np.linalg.qr(m0.T @ u)
-    v *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    v, rv = np.linalg.qr(m0.T @ u)
+    v *= np.where(np.diagonal(rv) < 0.0, -1.0, 1.0)
     if transposed:
         u, v = v, u
-    return SvdFactorization(u=u, sigma=sig, v=v, sweeps=sweeps, rotations=rotations)
+    return SvdFactorization(u=u, sigma=sigma, v=v, sweeps=sweeps, rotations=rotations)
 
 
 def rank_k_approx(f: SvdFactorization, k: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,17 @@ def test_verify_theorem_certifies_and_writes_report(tmp_path, capsys):
     assert report["first_win_n"] == 5
     assert [r["n"] for r in report["reports"]] == [5, 12]
     assert all(r["violations"] == [] for r in report["reports"])
+
+
+@pytest.mark.parametrize("gamma", ["1e100", "1e-100"])
+def test_verify_theorem_certifies_at_extreme_scales(gamma, capsys):
+    # The inverse's entries scale as 1 / gamma, so its squared norms leave
+    # the float range unless the SVD scales its input first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["verify-theorem", "--sizes", "20", "--gamma", gamma])
+    assert rc == 0
+    assert "n=20: certified" in capsys.readouterr().out
 
 
 def test_verify_theorem_violation_exits_3(monkeypatch, capsys):

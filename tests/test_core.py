@@ -203,8 +203,98 @@ def test_thin_svd_rank_deficient_input():
     a = np.outer(rng.normal(size=10), rng.normal(size=8))
     a += np.outer(rng.normal(size=10), rng.normal(size=8))
     f = thin_svd(a)
-    assert f.sigma[2] <= 1e-10 * f.sigma[0]
+    assert np.all(f.sigma[2:] == 0.0)
     assert np.abs((f.u * f.sigma) @ f.v.T - a).max() <= 1e-12 * np.abs(a).max()
+
+
+def test_thin_svd_rank_one_input_needs_no_rotation():
+    # The rank cut leaves a 1 x 1 X, which has no pair to rotate; the other
+    # singular values are exact zeros.
+    rng = np.random.default_rng(12)
+    for shape in [(10, 8), (8, 10), (30, 1), (1, 1)]:
+        a = np.outer(rng.normal(size=shape[0]), rng.normal(size=shape[1]))
+        f = thin_svd(a)
+        assert (f.sweeps, f.rotations) == (1, 0)
+        assert np.all(f.sigma[1:] == 0.0)
+        assert f.sigma[0] == pytest.approx(np.linalg.norm(a), rel=1e-14)
+        assert np.abs((f.u * f.sigma) @ f.v.T - a).max() <= 1e-14 * np.abs(a).max()
+
+
+def test_thin_svd_rotates_only_the_numerical_rank(monkeypatch):
+    # The n = 200 diagonal layout keeps about 88 columns above rounding;
+    # Jacobi must see only those.
+    params = TridiagParams(alpha=0.5, beta=0.5, gamma=1.0, n=200)
+    x = diag_to_columns(closed_form_inverse(params))
+    seen = []
+    real = core._jacobi
+
+    def spy(block):
+        seen.append(block.shape)
+        return real(block)
+
+    monkeypatch.setattr(core, "_jacobi", spy)
+    f = thin_svd(x, rank=1)
+    (r, c), = seen
+    assert r == c < 200
+    assert np.all(f.sigma[:r] > 0.0) and np.all(f.sigma[r:] == 0.0)
+    ref = np.linalg.svd(x, compute_uv=False)
+    assert np.abs(f.sigma - ref).max() <= 1e-13 * ref[0]
+
+
+@pytest.mark.parametrize("factor", [10.0, 0.1])
+def test_thin_svd_rank_cut_threshold(factor):
+    # Orthonormal columns scaled by 1, 0.9, ..., 0.6 and one small column
+    # at factor * eps * sqrt(n) * r11, where r11 = 1 is the largest column
+    # norm: above the cut the small singular value keeps its relative
+    # accuracy, below it is an exact zero.
+    n = 6
+    q = np.linalg.qr(np.random.default_rng(8).normal(size=(12, n)))[0]
+    small = factor * np.finfo(np.float64).eps * math.sqrt(n)
+    d = np.array([1.0, 0.9, 0.8, 0.7, 0.6, small])
+    f = thin_svd(q * d[::-1])
+    assert np.abs(f.sigma[:5] - d[:5]).max() <= 1e-14
+    if factor > 1.0:
+        assert abs(f.sigma[5] - small) <= 1e-13 * small
+    else:
+        assert f.sigma[5] == 0.0
+    assert np.abs(f.u.T @ f.u - np.eye(n)).max() < 1e-12
+
+
+def _scale_input():
+    # Entries are multiples of 2**-20 with the largest at 0.75, so every
+    # power-of-two multiple down to 2**-1054 is exact, subnormals included.
+    a = np.random.default_rng(14).integers(-2**19, 2**19, size=(7, 5)) / 2.0**20
+    a[3, 2] = 0.75
+    return a
+
+
+@pytest.mark.parametrize("k", [1000, 500, -500, -997, -1050])
+def test_thin_svd_is_exact_under_power_of_two_scaling(k):
+    # 2**±500 is about 1e±150, 2**-997 about 1e-300 and 2**-1050 is
+    # subnormal.  Squared norms of such inputs overflow or underflow, so
+    # thin_svd scales them by a power of two first, which is exact.
+    a = _scale_input()
+    base = thin_svd(a)
+    for x in (a, a.T):
+        f = thin_svd(np.ldexp(x, k))
+        assert np.array_equal(f.sigma, np.ldexp(base.sigma, k))
+        ref = np.linalg.svd(np.ldexp(x, k), compute_uv=False)
+        assert np.abs(f.sigma - ref).max() <= 1e-13 * ref[0]
+        r = min(x.shape)
+        assert np.abs(f.u.T @ f.u - np.eye(r)).max() < 1e-12
+        assert np.abs(f.v.T @ f.v - np.eye(r)).max() < 1e-12
+    f = thin_svd(np.ldexp(a, k))
+    assert np.array_equal(f.u, base.u) and np.array_equal(f.v, base.v)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-160, 1e-300, 1e-310])
+def test_thin_svd_handles_extreme_scales(scale):
+    a = np.random.default_rng(6).normal(size=(5, 4)) * scale
+    f = thin_svd(a)
+    ref = np.linalg.svd(a, compute_uv=False)
+    assert np.abs(f.sigma - ref).max() <= 1e-13 * ref[0]
+    assert np.abs(f.u.T @ f.u - np.eye(4)).max() < 1e-12
+    assert np.abs(f.v.T @ f.v - np.eye(4)).max() < 1e-12
 
 
 def test_thin_svd_identity_has_flat_spectrum():
