@@ -34,14 +34,6 @@ __all__ = [
 JACOBI_MAX_SWEEPS = 60
 JACOBI_REL_TOL = 1e-12
 
-# Singular values under the rank cut of _pivot_order (eps * sqrt(n) times
-# the largest column norm) are exact zeros.  Those above it but at or below
-# NULL_COLUMN_RTOL * ||A||_F keep the value measured.  For both, the left
-# factor column is replaced by a unit vector orthogonal to the columns
-# already accepted, because normalizing a vector of that size would amplify
-# rounding noise.
-NULL_COLUMN_RTOL = 1e-13
-
 
 class SvdConvergenceError(RuntimeError):
     """Jacobi sweep cap exhausted before the off-diagonal mass went under
@@ -65,12 +57,24 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``m`` scaled exactly by 2**-e, and e: 0 when the largest entry lies
+    in [2**-100, 2**100] or is zero, else the e that puts it in [0.5, 1),
+    so that squared norms and their products stay in the float64 range."""
+    top = float(np.abs(m).max())
+    if top and not 2.0**-100 <= top <= 2.0**100:
+        e = math.frexp(top)[1]
+        return np.ldexp(m, -e), e
+    return m, 0
+
+
 def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries."""
-    m = as_matrix(a)
+    """Square root of the sum of squared entries, scaled by a power of two
+    first where they are extreme, so that no square overflows or underflows."""
+    m, e = _unit_scale(as_matrix(a))
     # Accumulate in the flat dot product; fast and accurate for float64.
     flat = m.ravel()
-    return math.sqrt(float(flat @ flat))
+    return math.ldexp(math.sqrt(float(flat @ flat)), e)
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,8 @@ class SvdFactorization:
 
     ``sigma`` has length min(rows, cols) and is nonnegative and
     non-increasing; :func:`thin_svd` reports the singular values under its
-    rank cut as exact zeros, so the length depends only on the input shape.
+    rank cut, its one zero rule, as exact zeros, so the length depends only
+    on the input shape.
     ``u`` is rows x k and ``v`` is cols x k with k <= len(sigma): the
     leading k singular vectors, as ``thin_svd(a, rank=k)`` returns them,
     with every singular value still held; ``thin_svd(a)`` holds every
@@ -248,8 +253,8 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     are reported as exact zeros.  The Jacobi iteration runs on the lower
     triangular ``X = R2.T``, whose columns are close to orthogonal already,
     and ``A P Q2 = (Q1[:, :r] U_X) diag(sigma) V_X.T``, so the long side is
-    ``U = Q1[:, :r] U_X``, completed to k columns inside the range of
-    ``Q1`` where fewer than k singular values are usable.
+    ``U = Q1[:, :r] U_X``, followed past the rank cut, the one zero rule,
+    by the trailing columns of ``Q1``.
 
     Each sweep visits every column pair of ``X`` once in round-robin order
     (Brent and Luk): a sweep over n columns is n - 1 rounds (n when n is
@@ -296,14 +301,7 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
             or not 0 <= rank <= tn):
         raise ValueError(f"rank must be an integer in [0, {tn}], got {rank!r}")
     rank = int(rank)
-    # Squared norms, and the skip test's products of two of them, stay in
-    # range once the largest entry is in [0.5, 1).
-    scale = 0
-    top = float(np.abs(m0).max())
-    if top and not 2.0**-100 <= top <= 2.0**100:
-        scale = math.frexp(top)[1]
-        m0 = np.ldexp(m0, -scale)
-    norm_f = math.sqrt(float(np.einsum("ij,ij->", m0, m0)))
+    m0, scale = _unit_scale(m0)
 
     perm, r = _pivot_order(m0)
     if rank == 0:
@@ -327,19 +325,12 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
             empty_u, empty_v = empty_v, empty_u
         return SvdFactorization(u=empty_u, sigma=sigma, v=empty_v,
                                 sweeps=sweeps, rotations=rotations)
-    x = x[order[:rank]]
 
-    # Left factor of X.  The k columns large enough to normalize lead,
-    # because sig is sorted; the rest are replaced by an orthonormal basis
-    # of the complement of the first k.  The columns are padded with zeros
-    # to n, so that the product with Q1 is the same BLAS call at every
-    # rank and its leading columns come out bit-identical.
-    k = int(np.count_nonzero(sig > norm_f * NULL_COLUMN_RTOL))
-    kw = min(k, rank)
-    ux = np.zeros((tn, tn))
-    ux[:r, :kw] = (x[:kw] / sig[:kw, None]).T
-    if kw < rank:
-        ux[:, kw:rank] = np.linalg.qr(ux[:, :kw], mode="complete")[0][:, kw:rank]
+    # U_X in the top-left block of the identity, so that the columns past
+    # the rank cut are Q1's own.  The product with Q1 is then the same BLAS
+    # call at every rank, and its leading columns come out bit-identical.
+    ux = np.eye(tn)
+    ux[:r, :r] = (x[order] / sig[:r, None]).T
     del x
     u = q1 @ ux
     del q1, ux
@@ -404,6 +395,8 @@ def approx_report(a, k: int, approx: np.ndarray | None = None) -> ApproxReport:
     Without ``approx``, ``a`` is factored to its leading k triples.  Pass
     the rank-k reconstruction ``approx`` itself when the caller builds it
     anyway.  ``a`` must be nonzero for the relative error to be defined.
+    ``abs_error_sq`` is the squared error rounded to float64 (0.0 where it
+    underflows; a ``ValueError`` where it overflows).
     """
     m = as_matrix(a)
     # Checked first, so that k = 0 is refused as a rank before it reaches
@@ -416,13 +409,18 @@ def approx_report(a, k: int, approx: np.ndarray | None = None) -> ApproxReport:
         approx = rank_k_approx(thin_svd(m, rank=k), k)
     elif np.shape(approx) != m.shape:
         raise ValueError(f"shape mismatch: {m.shape} vs {np.shape(approx)}")
-    diff = (m - approx).ravel()
-    abs_sq = float(diff @ diff)
+    diff, e = _unit_scale(m - approx)
+    flat = diff.ravel()
+    sq = float(flat @ flat)
+    try:
+        abs_sq = math.ldexp(sq, 2 * e)
+    except OverflowError:
+        raise ValueError("squared error overflows float64") from None
     return ApproxReport(
         rows=m.shape[0],
         cols=m.shape[1],
         rank=int(k),
         parameters=parameters,
         abs_error_sq=abs_sq,
-        rel_error=math.sqrt(abs_sq) / norm,
+        rel_error=math.ldexp(math.sqrt(sq), e) / norm,
     )

@@ -53,8 +53,9 @@ _CHECK_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class TridiagParams:
-    """Family parameters.  Decay needs |alpha| < 1 and |beta| < 1; the
-    factorization needs gamma > 0."""
+    """Family parameters.  Decay needs |alpha| < 1 and |beta| < 1.  The
+    factorization needs gamma > 0, and gamma in [1e-100, 1e100] keeps the
+    squared quantities, which scale as 1 / gamma**2, in the float64 range."""
 
     alpha: float
     beta: float
@@ -68,8 +69,8 @@ class TridiagParams:
                 raise ValueError(f"{name} must be a finite number, got {val!r}")
         if abs(self.alpha) >= 1.0 or abs(self.beta) >= 1.0:
             raise ValueError("|alpha| and |beta| must be below 1")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 1e-100 <= self.gamma <= 1e100:
+            raise ValueError(f"gamma must lie in [1e-100, 1e100], got {self.gamma!r}")
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
 

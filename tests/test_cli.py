@@ -315,6 +315,19 @@ def test_verify_theorem_certifies_at_extreme_scales(gamma, capsys):
     assert "n=20: certified" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("gamma", ["1e160", "1e-160"])
+def test_verify_theorem_refuses_gamma_out_of_range(gamma, capsys):
+    # The certificate's squares scale as 1 / gamma**2 and would leave the
+    # float range: refused up front instead of a false violation or an
+    # uncaught overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["verify-theorem", "--sizes", "20", "--gamma", gamma])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gamma" in err
+
+
 def test_verify_theorem_violation_exits_3(monkeypatch, capsys):
     real = certify_rank1_gap(TridiagParams(0.5, 0.5, 1.0, 6))
     doctored = dataclasses.replace(real, top_singular_value=real.spectral_bound * 2)

@@ -43,6 +43,10 @@ def test_as_matrix_rejects_bad_inputs():
 def test_frobenius_norm_hand_values(demo_matrix):
     assert frobenius_norm([[3.0, 4.0]]) == 5.0
     assert frobenius_norm(demo_matrix) ** 2 == pytest.approx(2548.0, rel=1e-14)
+    # The squared entries leave the float range; the norm does not.
+    for scale in (1e200, 1e-200):
+        norm = frobenius_norm(np.full((2, 2), scale))
+        assert norm == pytest.approx(2.0 * scale, rel=1e-15, abs=0.0)
 
 
 def test_thin_svd_matches_lapack_singular_values():
@@ -131,8 +135,20 @@ def test_thin_svd_factors_orthonormal_on_diagonal_layouts(n):
     assert np.abs(f.v.T @ f.v - np.eye(n)).max() <= 1e-11
 
 
+@pytest.mark.parametrize("n", [101, 150, 200])
+def test_thin_svd_reconstructs_diagonal_layouts_at_full_rank(n):
+    # These layouts hold singular values just above the rank cut; their
+    # left vectors are normalized like every other, so the full
+    # factorization gives back the input to rounding.
+    params = TridiagParams(alpha=0.5, beta=0.5, gamma=1.0, n=n)
+    x = diag_to_columns(closed_form_inverse(params))
+    f = thin_svd(x)
+    err = np.linalg.norm((f.u * f.sigma) @ f.v.T - x)
+    assert err <= 5e-15 * np.linalg.norm(x)
+
+
 def test_thin_svd_memory_stays_linear_in_the_long_side():
-    # A rank-1 16 x 2400 input has 15 null columns to complete; nothing the
+    # A rank-1 16 x 2400 input has 15 columns past the rank cut; nothing the
     # factorization builds may grow with the square of the long side
     # (2400 x 2400 float64 is 44 MiB).
     a = np.ones((16, 2400))
@@ -351,7 +367,11 @@ def test_thin_svd_rank_path_matches_the_full_call(name):
     norm = np.linalg.norm(a)
     lu, ls, lvt = np.linalg.svd(a, full_matrices=False)
     assert np.abs(full.sigma - ls).max() <= 1e-13 * ls[0]
-    for k in (0, 1, 5, r):
+    # Around the rank cut the long side's columns switch from the rotated
+    # ones to the first QR factor's own.
+    nonzero = int(np.count_nonzero(full.sigma))
+    ranks = {0, 1, 5, nonzero - 1, nonzero, nonzero + 1, r}
+    for k in sorted(k for k in ranks if 0 <= k <= r):
         f = thin_svd(a, rank=k)
         assert f.u.shape == (a.shape[0], k) and f.v.shape == (a.shape[1], k)
         assert f.rank_limit == k
@@ -533,3 +553,20 @@ def test_approx_report_accepts_precomputed_factorization():
         approx_report(a, 2, approx=np.zeros((8, 7)))
     with pytest.raises(ValueError, match="zero matrix"):
         approx_report(np.zeros((3, 4)), 1)
+
+
+def test_approx_report_at_extreme_scales():
+    a = np.random.default_rng(0).normal(size=(6, 5))
+    base = approx_report(a, 2)
+    # A numpy overflow warning fails the test (pyproject.toml).
+    for scale in (1e150, 1e-150, 1e-170):
+        rep = approx_report(a * scale, 2)
+        assert abs(rep.rel_error - base.rel_error) <= 1e-12
+        assert rep.abs_error_sq == pytest.approx(
+            base.abs_error_sq * scale * scale, rel=1e-12, abs=1e-320
+        )
+    # The squared error rounded to float64: 0.0 once it underflows, and
+    # refused at 1e170, where it is about 1e340.
+    assert rep.abs_error_sq == 0.0
+    with pytest.raises(ValueError, match="overflows"):
+        approx_report(a * 1e170, 2)
