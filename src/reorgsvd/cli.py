@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SvdConvergenceError, approx_report, rank_k_approx, thin_svd
+from .core import SvdConvergenceError, _count, approx_report, rank_k_approx, thin_svd
 from .covid import DataError, covid_experiment, load_state_timeseries
 from .pgm import GrayImage, PgmError, load_gray_image, write_gray_image
 from .report import SCHEMA_VERSION, dump, format_float
@@ -93,8 +93,7 @@ def _cmd_approx(args) -> int:
 
     limit = min(work.shape)
     for k in args.ranks:
-        if not 1 <= k <= limit:
-            raise ValueError(f"rank must be in [1, {limit}], got {k}")
+        _count(k, "rank", 1, limit)
     f = thin_svd(work, rank=max(args.ranks))
     records = []
     for k in args.ranks:

@@ -57,6 +57,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """``value`` as an ``int`` when it is an integer (Python or numpy, not
+    ``bool``) in [low, high], or at least ``low`` when ``high`` is None;
+    anything else raises a ``ValueError`` that names the argument."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return int(value)
+    if high is None:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
 def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, int]:
     """``m`` scaled exactly by 2**-e, and e: 0 when the largest entry lies
     in [2**-100, 2**100] or is zero, else the e that puts it in [0.5, 1),
@@ -74,7 +86,10 @@ def frobenius_norm(a) -> float:
     m, e = _unit_scale(as_matrix(a))
     # Accumulate in the flat dot product; fast and accurate for float64.
     flat = m.ravel()
-    return math.ldexp(math.sqrt(float(flat @ flat)), e)
+    try:
+        return math.ldexp(math.sqrt(float(flat @ flat)), e)
+    except OverflowError:
+        raise ValueError("Frobenius norm overflows float64") from None
 
 
 @dataclass(frozen=True)
@@ -295,12 +310,7 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     if transposed:
         m0 = m0.T
     tn = m0.shape[1]
-    if rank is None:
-        rank = tn
-    elif (not isinstance(rank, (int, np.integer)) or isinstance(rank, bool)
-            or not 0 <= rank <= tn):
-        raise ValueError(f"rank must be an integer in [0, {tn}], got {rank!r}")
-    rank = int(rank)
+    rank = tn if rank is None else _count(rank, "rank", 0, tn)
     m0, scale = _unit_scale(m0)
 
     perm, r = _pivot_order(m0)
@@ -347,10 +357,7 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
 def rank_k_approx(f: SvdFactorization, k: int) -> np.ndarray:
     """Best rank-k approximation assembled from the leading k triples;
     ``k`` may not exceed the triples ``f`` holds."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"rank must be an integer, got {k!r}")
-    if k < 1 or k > f.rank_limit:
-        raise ValueError(f"rank must be in [1, {f.rank_limit}], got {k}")
+    k = _count(k, "rank", 1, f.rank_limit)
     uk = f.u[:, :k]
     vk = f.v[:, :k]
     return (uk * f.sigma[:k]) @ vk.T
@@ -371,10 +378,8 @@ def relative_error(a, b) -> float:
 def parameter_count(rows: int, cols: int, k: int) -> int:
     """Storage cost of a rank-k factorization of a rows x cols matrix:
     k * (rows + cols) scalars, counting both factor panels."""
-    for name, val in (("rows", rows), ("cols", cols), ("k", k)):
-        if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < 1:
-            raise ValueError(f"{name} must be a positive integer, got {val!r}")
-    return int(k) * (int(rows) + int(cols))
+    rows, cols, k = _count(rows, "rows"), _count(cols, "cols"), _count(k, "k")
+    return k * (rows + cols)
 
 
 @dataclass(frozen=True)
@@ -390,25 +395,28 @@ class ApproxReport:
 
 
 def approx_report(a, k: int, approx: np.ndarray | None = None) -> ApproxReport:
-    """Approximate ``a`` at rank ``k`` and report the cost and the error.
+    """Approximate ``a`` at rank ``k``, an integer in [1, min(rows, cols)],
+    and report the cost and the error.
 
     Without ``approx``, ``a`` is factored to its leading k triples.  Pass
     the rank-k reconstruction ``approx`` itself when the caller builds it
-    anyway.  ``a`` must be nonzero for the relative error to be defined.
-    ``abs_error_sq`` is the squared error rounded to float64 (0.0 where it
-    underflows; a ``ValueError`` where it overflows).
+    anyway; it must be finite and of the shape of ``a``.  ``a`` must be
+    nonzero for the relative error to be defined.  ``abs_error_sq`` is the
+    squared error rounded to float64 (0.0 where it underflows; a
+    ``ValueError`` where it overflows).
     """
     m = as_matrix(a)
-    # Checked first, so that k = 0 is refused as a rank before it reaches
-    # thin_svd, which accepts it.
-    parameters = parameter_count(m.shape[0], m.shape[1], int(k))
+    k = _count(k, "rank", 1, min(m.shape))
+    parameters = parameter_count(m.shape[0], m.shape[1], k)
     norm = frobenius_norm(m)
     if norm == 0.0:
         raise ValueError("relative error undefined for a zero matrix")
     if approx is None:
         approx = rank_k_approx(thin_svd(m, rank=k), k)
-    elif np.shape(approx) != m.shape:
-        raise ValueError(f"shape mismatch: {m.shape} vs {np.shape(approx)}")
+    else:
+        approx = as_matrix(approx, "approx")
+        if approx.shape != m.shape:
+            raise ValueError(f"shape mismatch: {m.shape} vs {approx.shape}")
     diff, e = _unit_scale(m - approx)
     flat = diff.ravel()
     sq = float(flat @ flat)
@@ -419,7 +427,7 @@ def approx_report(a, k: int, approx: np.ndarray | None = None) -> ApproxReport:
     return ApproxReport(
         rows=m.shape[0],
         cols=m.shape[1],
-        rank=int(k),
+        rank=k,
         parameters=parameters,
         abs_error_sq=abs_sq,
         rel_error=math.ldexp(math.sqrt(sq), e) / norm,

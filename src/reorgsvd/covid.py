@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import approx_report, as_matrix, rank_k_approx, thin_svd
+from .core import _count, approx_report, as_matrix, rank_k_approx, thin_svd
 from .reshape import stack_column_groups, unstack_column_groups
 
 __all__ = [
@@ -131,8 +131,10 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
     once with both counts filled in; gaps and duplicates are data errors,
     and so is a count that is not a finite number >= 0.  A row with empty
     counts still takes its cell."""
-    if days < 1:
-        raise DataError(f"days must be positive, got {days}")
+    try:
+        days = _count(days, "days")
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
     start = _coerce_date(start_date)
     codes = tuple(states) if states is not None else US_STATE_CODES
     if not codes:
@@ -224,7 +226,7 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
         raise DataError(f"missing counts for {shown}{more}")
 
     return CountPanel(
-        entities=codes, start=start, days=int(days), positives=positives, tests=tests
+        entities=codes, start=start, days=days, positives=positives, tests=tests
     )
 
 
@@ -302,8 +304,8 @@ def piecewise_linear_panel(
     All rows share the same time grid, so splitting the columns at the
     regime boundaries and stacking the groups leaves a matrix whose rows
     all live in the span of a constant and a shared ramp."""
-    if entities < 1 or days < 1 or regimes < 1:
-        raise ValueError("entities, days and regimes must all be positive")
+    entities, days = _count(entities, "entities"), _count(days, "days")
+    regimes = _count(regimes, "regimes")
     if days % regimes:
         raise ValueError(f"{regimes} regimes do not divide {days} days")
     width = days // regimes
@@ -341,18 +343,17 @@ class CovidReport:
 
 def covid_experiment(panel: SeriesPanel, groups: int, rank: int) -> CovidReport:
     """Approximate the panel at the given rank twice, plain and after
-    column-group stacking, at matched rank.  ``groups`` must divide the day
-    count; with ``groups=1`` the two routes are identical by construction."""
+    column-group stacking, at matched rank.  ``groups`` must be a positive
+    integer that divides the day count, and ``rank`` an integer from 1 to
+    the smaller side of both layouts; with ``groups=1`` the two routes are
+    identical by construction."""
     m = panel.matrix
     n_days = m.shape[1]
-    g = int(groups)
-    if g < 1 or n_days % g:
-        raise ValueError(f"groups must divide the {n_days} days, got {groups}")
+    g = _count(groups, "groups")
+    if n_days % g:
+        raise ValueError(f"groups must divide the {n_days} days, got {g}")
     stacked = stack_column_groups(m, g)
-    k = int(rank)
-    limit = min(min(m.shape), min(stacked.shape))
-    if k < 1 or k > limit:
-        raise ValueError(f"rank must be in [1, {limit}], got {rank}")
+    k = _count(rank, "rank", 1, min(min(m.shape), min(stacked.shape)))
 
     plain_recon = rank_k_approx(thin_svd(m, rank=k), k)
     stacked_recon = rank_k_approx(thin_svd(stacked, rank=k), k)

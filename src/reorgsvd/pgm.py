@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_matrix
+from .core import _count, as_matrix
 
 __all__ = [
     "PgmError",
@@ -56,7 +56,7 @@ class PgmParseError(PgmError):
 class GrayImage:
     """A grayscale image as a rows x cols float matrix with entries in
     [0, 1], plus the maxval of the file it came from (255 for images born
-    in memory via :meth:`from_raw`)."""
+    in memory via :meth:`from_raw`), an integer in [1, 65535]."""
 
     matrix: np.ndarray
     maxval: int = 255
@@ -66,8 +66,7 @@ class GrayImage:
         if float(m.min()) < 0.0 or float(m.max()) > 1.0:
             raise ValueError("image entries must lie in [0, 1]")
         object.__setattr__(self, "matrix", m)
-        if not 1 <= int(self.maxval) <= MAX_MAXVAL:
-            raise ValueError(f"maxval must be in [1, {MAX_MAXVAL}], got {self.maxval}")
+        _count(self.maxval, "maxval", 1, MAX_MAXVAL)
 
     @classmethod
     def from_raw(cls, matrix, maxval: int = 255) -> "GrayImage":

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SvdFactorization, as_matrix, thin_svd
+from .core import SvdFactorization, _count, as_matrix, thin_svd
 
 __all__ = [
     "TileScheme",
@@ -54,9 +54,7 @@ class TileScheme:
 
     def __post_init__(self):
         for name in ("tile_rows", "tile_cols", "grid_rows", "grid_cols"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < 1:
-                raise ValueError(f"{name} must be a positive integer, got {val!r}")
+            _count(getattr(self, name), name)
 
     @property
     def unfolded_shape(self) -> tuple[int, int]:
@@ -66,15 +64,14 @@ class TileScheme:
 def tile_to_columns(a, tile_rows: int, tile_cols: int) -> tuple[np.ndarray, TileScheme]:
     """Unfold ``a`` so each p x q tile becomes one column.
 
-    The tile sizes must divide the matrix dimensions exactly; use a crop
-    first when they do not.  Output column gc*grid_rows + gr holds the tile
+    The tile sizes must be positive integers (Python or numpy, not
+    ``bool``) that divide the matrix dimensions exactly; use a crop first
+    when they do not.  Output column gc*grid_rows + gr holds the tile
     at grid position (gr, gc), vectorized column-major.
     """
     m = as_matrix(a)
     rows, cols = m.shape
-    p, q = int(tile_rows), int(tile_cols)
-    if p < 1 or q < 1:
-        raise ValueError(f"tile sizes must be positive, got {tile_rows} x {tile_cols}")
+    p, q = _count(tile_rows, "tile_rows"), _count(tile_cols, "tile_cols")
     if rows % p or cols % q:
         raise ValueError(
             f"tile {p} x {q} does not divide matrix {rows} x {cols}"
@@ -103,12 +100,11 @@ def columns_to_tiles(x, scheme: TileScheme) -> np.ndarray:
 
 def stack_column_groups(a, groups: int) -> np.ndarray:
     """Split the columns into ``groups`` contiguous blocks and stack them
-    vertically; group i lands in output rows i*rows .. (i+1)*rows."""
+    vertically; group i lands in output rows i*rows .. (i+1)*rows.
+    ``groups`` must be a positive integer that divides the column count."""
     m = as_matrix(a)
     rows, cols = m.shape
-    g = int(groups)
-    if g < 1:
-        raise ValueError(f"groups must be positive, got {groups}")
+    g = _count(groups, "groups")
     if cols % g:
         raise ValueError(f"{g} groups do not divide {cols} columns")
     w = cols // g
@@ -120,9 +116,7 @@ def unstack_column_groups(b, groups: int) -> np.ndarray:
     """Exact inverse of :func:`stack_column_groups` for the same ``groups``."""
     m = as_matrix(b)
     srows, w = m.shape
-    g = int(groups)
-    if g < 1:
-        raise ValueError(f"groups must be positive, got {groups}")
+    g = _count(groups, "groups")
     if srows % g:
         raise ValueError(f"{g} groups do not divide {srows} stacked rows")
     rows = srows // g
@@ -182,14 +176,13 @@ def ksvd_terms(a, tile_rows: int, tile_cols: int, r: int,
     """
     x, scheme = tile_to_columns(a, tile_rows, tile_cols)
     limit = min(x.shape) if f is None else f.rank_limit
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or not 1 <= r <= limit:
-        raise ValueError(f"term count must be in [1, {limit}], got {r!r}")
+    r = _count(r, "r", 1, limit)
     if f is None:
-        f = thin_svd(x, rank=int(r))
+        f = thin_svd(x, rank=r)
     p, q = scheme.tile_rows, scheme.tile_cols
     gr, gc = scheme.grid_rows, scheme.grid_cols
     terms = []
-    for j in range(int(r)):
+    for j in range(r):
         b = f.v[:, j].reshape(gc, gr).T
         c = (f.sigma[j] * f.u[:, j]).reshape(q, p).T
         terms.append(KroneckerTerm(b=np.ascontiguousarray(b), c=np.ascontiguousarray(c)))

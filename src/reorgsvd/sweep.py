@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SvdFactorization, parameter_count, thin_svd
+from .core import SvdFactorization, _count, parameter_count, thin_svd
 from .pgm import GrayImage
 from .reshape import tile_to_columns
 
@@ -56,9 +56,7 @@ def crop_to_tile_multiple(img: GrayImage, tile_rows: int, tile_cols: int) -> Gra
     bottom, likewise for columns.  Fails if the image is smaller than one
     tile."""
     rows, cols = img.shape
-    p, q = int(tile_rows), int(tile_cols)
-    if p < 1 or q < 1:
-        raise ValueError(f"tile sizes must be positive, got {tile_rows} x {tile_cols}")
+    p, q = _count(tile_rows, "tile_rows"), _count(tile_cols, "tile_cols")
     if rows < p or cols < q:
         raise ValueError(f"image {rows} x {cols} is smaller than one {p} x {q} tile")
     keep_r = rows - rows % p
@@ -127,9 +125,10 @@ def tile_sweep(
     # (tile edge, or None for the plain method; SVD shape; singular values)
     layouts = [(None, img.shape, thin_svd(img.matrix, rank=0).sigma)]
     for s in tile_sizes:
-        cropped = crop_to_tile_multiple(img, s, s)
-        x, scheme = tile_to_columns(cropped.matrix, s, s)
-        layouts.append((int(s), scheme.unfolded_shape, thin_svd(x, rank=0).sigma))
+        edge = _count(s, "tile_sizes")
+        cropped = crop_to_tile_multiple(img, edge, edge)
+        x, scheme = tile_to_columns(cropped.matrix, edge, edge)
+        layouts.append((edge, scheme.unfolded_shape, thin_svd(x, rank=0).sigma))
 
     out: list[SweepRecord] = []
     for target in targets:

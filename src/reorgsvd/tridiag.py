@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import approx_report, frobenius_norm, rank_k_approx, thin_svd
+from .core import _count, approx_report, frobenius_norm, rank_k_approx, thin_svd
 from .reshape import diag_to_columns
 
 __all__ = [
@@ -71,8 +71,7 @@ class TridiagParams:
             raise ValueError("|alpha| and |beta| must be below 1")
         if not 1e-100 <= self.gamma <= 1e100:
             raise ValueError(f"gamma must lie in [1e-100, 1e100], got {self.gamma!r}")
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _count(self.n, "n")
 
     @property
     def delta(self) -> float:
@@ -105,8 +104,7 @@ def geometric_partial_sums(delta: float, n: int) -> np.ndarray:
     Uses the ratio form (1 - delta**i) / (1 - delta) away from delta = 1
     and direct cumulative summation near it.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _count(n, "n")
     if abs(1.0 - delta) < _NEAR_ONE:
         return np.cumsum(np.power(delta, np.arange(n)))
     return (1.0 - np.power(delta, np.arange(1, n + 1))) / (1.0 - delta)

@@ -146,7 +146,7 @@ def test_approx_data_errors_exit_1(image_dir, tmp_path, capsys):
          str(tmp_path / "o")]
     )
     assert rc == 1
-    assert "rank must be in [1, 32], got 33" in capsys.readouterr().err
+    assert "rank must be an integer in [1, 32], got 33" in capsys.readouterr().err
 
 
 def test_approx_black_image_exits_1(tmp_path, capsys):

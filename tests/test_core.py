@@ -1,25 +1,42 @@
 """Core primitives: validation, Frobenius norm, thin SVD, truncation."""
 
+import argparse
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import START, linear_counts, write_counts
 
+import reorgsvd.cli as cli
 import reorgsvd.core as core
 from reorgsvd import (
+    DataError,
+    GrayImage,
     SvdConvergenceError,
     SvdFactorization,
+    TileScheme,
     TridiagParams,
     approx_report,
     as_matrix,
     closed_form_inverse,
+    covid_experiment,
+    crop_to_tile_multiple,
     diag_to_columns,
     frobenius_norm,
+    geometric_partial_sums,
+    ksvd_terms,
+    load_state_counts,
     parameter_count,
+    piecewise_linear_panel,
     rank_k_approx,
     relative_error,
+    stack_column_groups,
     thin_svd,
+    tile_sweep,
+    tile_to_columns,
+    unstack_column_groups,
+    write_gray_image,
 )
 
 
@@ -47,6 +64,15 @@ def test_frobenius_norm_hand_values(demo_matrix):
     for scale in (1e200, 1e-200):
         norm = frobenius_norm(np.full((2, 2), scale))
         assert norm == pytest.approx(2.0 * scale, rel=1e-15, abs=0.0)
+
+
+def test_frobenius_norm_overflow_is_a_value_error():
+    assert frobenius_norm(np.full((2, 2), 8e307)) == 1.6e308
+    big = np.full((2, 2), 1e308)
+    with pytest.raises(ValueError, match="Frobenius norm overflows float64"):
+        frobenius_norm(big)
+    with pytest.raises(ValueError, match="Frobenius norm overflows float64"):
+        relative_error(big, np.zeros((2, 2)))
 
 
 def test_thin_svd_matches_lapack_singular_values():
@@ -470,7 +496,7 @@ def test_thin_svd_rank_zero_does_not_build_the_long_factor():
 def test_truncated_factorization_bounds_rank_k_approx():
     f = thin_svd(np.random.default_rng(3).normal(size=(6, 5)), rank=2)
     assert rank_k_approx(f, 2).shape == (6, 5)
-    with pytest.raises(ValueError, match=r"rank must be in \[1, 2\], got 3"):
+    with pytest.raises(ValueError, match=r"rank must be an integer in \[1, 2\], got 3"):
         rank_k_approx(f, 3)
 
 
@@ -537,7 +563,7 @@ def test_approx_report_consistency():
     assert rep.abs_error_sq == pytest.approx(
         rep.rel_error**2 * frobenius_norm(a) ** 2, rel=1e-12
     )
-    with pytest.raises(ValueError, match="k must be a positive integer, got 0"):
+    with pytest.raises(ValueError, match=r"rank must be an integer in \[1, 9\], got 0"):
         approx_report(a, 0)
     with pytest.raises(ValueError, match="rank"):
         approx_report(a, 10)
@@ -553,6 +579,70 @@ def test_approx_report_accepts_precomputed_factorization():
         approx_report(a, 2, approx=np.zeros((8, 7)))
     with pytest.raises(ValueError, match="zero matrix"):
         approx_report(np.zeros((3, 4)), 1)
+
+
+def test_approx_report_rejects_non_finite_approx():
+    a = np.random.default_rng(14).normal(size=(5, 4))
+    for bad in (np.nan, np.inf):
+        approx = a.copy()
+        approx[2, 1] = bad
+        with pytest.raises(ValueError, match="approx contains non-finite entries"):
+            approx_report(a, 2, approx=approx)
+
+
+def test_count_arguments_share_one_rule(tmp_path):
+    # Every argument that counts something (a rank, a tile edge, a group
+    # count, a size) takes a Python or numpy integer and nothing else: no
+    # float, however integral, and no bool.  The message names the argument.
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(6, 6))
+    f = thin_svd(a)
+    img = GrayImage.from_raw(rng.uniform(size=(6, 6)))
+    write_gray_image(img, tmp_path / "i.pgm")
+    counts = write_counts(tmp_path / "c.csv", linear_counts(["CA"], 2))
+    panel = piecewise_linear_panel(4, 6, 3)
+
+    def approx_cli(v):
+        cli._cmd_approx(argparse.Namespace(
+            image=str(tmp_path / "i.pgm"), method="plain", ranks=[v],
+            out=str(tmp_path / "o")))
+
+    sites = [
+        ("rank", ValueError, lambda v: thin_svd(a, rank=v)),
+        ("rank", ValueError, lambda v: rank_k_approx(f, v)),
+        ("rows", ValueError, lambda v: parameter_count(v, 4, 2)),
+        ("cols", ValueError, lambda v: parameter_count(3, v, 2)),
+        ("k", ValueError, lambda v: parameter_count(3, 4, v)),
+        ("rank", ValueError, lambda v: approx_report(a, v)),
+        ("rank", ValueError, lambda v: approx_report(a, v, approx=a)),
+        ("tile_rows", ValueError, lambda v: TileScheme(v, 1, 1, 1)),
+        ("grid_cols", ValueError, lambda v: TileScheme(1, 1, 1, v)),
+        ("tile_rows", ValueError, lambda v: tile_to_columns(a, v, 3)),
+        ("tile_cols", ValueError, lambda v: tile_to_columns(a, 3, v)),
+        ("groups", ValueError, lambda v: stack_column_groups(a, v)),
+        ("groups", ValueError, lambda v: unstack_column_groups(a, v)),
+        ("r", ValueError, lambda v: ksvd_terms(a, 3, 3, v)),
+        ("tile_rows", ValueError, lambda v: crop_to_tile_multiple(img, v, 3)),
+        ("tile_cols", ValueError, lambda v: crop_to_tile_multiple(img, 3, v)),
+        ("tile_sizes", ValueError, lambda v: tile_sweep(img, "i.pgm", [v], [0.5])),
+        # The panel loader reports every bad argument as a DataError.
+        ("days", DataError,
+         lambda v: load_state_counts(counts, START, v, states=["CA"])),
+        ("entities", ValueError, lambda v: piecewise_linear_panel(v, 6, 3)),
+        ("days", ValueError, lambda v: piecewise_linear_panel(4, v, 1)),
+        ("regimes", ValueError, lambda v: piecewise_linear_panel(4, 6, v)),
+        ("groups", ValueError, lambda v: covid_experiment(panel, v, 1)),
+        ("rank", ValueError, lambda v: covid_experiment(panel, 1, v)),
+        ("n", ValueError, lambda v: TridiagParams(0.5, 0.5, 1.0, v)),
+        ("n", ValueError, lambda v: geometric_partial_sums(0.25, v)),
+        ("rank", ValueError, approx_cli),
+        ("maxval", ValueError, lambda v: GrayImage(img.matrix, maxval=v)),
+    ]
+    for name, error, call in sites:
+        call(np.int64(2))
+        for bad in (2.5, True, np.float64(2.0)):
+            with pytest.raises(error, match=rf"^{name} must be (a positive|an) integer"):
+                call(bad)
 
 
 def test_approx_report_at_extreme_scales():

@@ -1,8 +1,11 @@
-"""README's Python examples run against the library as it is."""
+"""README's examples run against the library and the CLI as they are."""
 
 import re
+import shlex
 import warnings
 from pathlib import Path
+
+from reorgsvd import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,3 +21,16 @@ def test_readme_python_examples_run():
         warnings.simplefilter("error")
         for i, block in enumerate(blocks):
             exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
+
+
+def test_readme_command_lines_parse():
+    # Every ``reorgsvd ...`` line of the shell blocks, with its backslash
+    # continuations joined, is parsed (not run) by the CLI's own parser, so
+    # a renamed subcommand or flag fails here.
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("reorgsvd ")]
+    assert len(commands) == 5
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
