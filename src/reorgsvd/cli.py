@@ -23,8 +23,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .core import SvdConvergenceError, _count, approx_report, rank_k_approx, thin_svd
 from .covid import DataError, covid_experiment, load_state_timeseries
 from .pgm import GrayImage, PgmError, load_gray_image, write_gray_image
@@ -226,10 +224,6 @@ def _cmd_covid(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["state", "date", "actual", "plain_recon", "stacked_recon"])
         series = (panel.matrix, rep.plain_recon, rep.stacked_recon)
-        if not all(np.isfinite(m).all() for m in series):
-            # Reject the first non-finite cell in row order, as format_float does.
-            cells = np.stack(series, axis=-1)
-            format_float(cells[~np.isfinite(cells)][0])
         days = [(panel.start + dt.timedelta(days=d)).isoformat() for d in range(panel.days)]
         for code, *rows in zip(panel.entities, *series):
             writer.writerows(

@@ -350,8 +350,6 @@ def covid_experiment(panel: SeriesPanel, groups: int, rank: int) -> CovidReport:
     m = panel.matrix
     n_days = m.shape[1]
     g = _count(groups, "groups")
-    if n_days % g:
-        raise ValueError(f"groups must divide the {n_days} days, got {g}")
     stacked = stack_column_groups(m, g)
     k = _count(rank, "rank", 1, min(min(m.shape), min(stacked.shape)))
 

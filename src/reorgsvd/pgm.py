@@ -6,14 +6,16 @@ byte offset of the offending content.  The writer always emits binary P5
 with maxval 255, quantizing by rounding halves away from zero, so a write
 followed by a read changes no entry by more than 1/510.
 
-Header tokens may be separated by any whitespace and interleaved with
-``#`` comments.  Per the format, exactly one whitespace byte separates the
-maxval from a P5 raster.  Content after a complete raster or sample list
-is ignored.
+Tokens may be separated by any whitespace, and a ``#`` comment, which runs
+to the end of its line, may appear anywhere tokens are separated: in the
+header and in a P2 raster alike.  Per the format, exactly one whitespace
+byte separates the maxval from a P5 raster.  Content after a complete
+raster or sample list is ignored.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,8 +32,9 @@ __all__ = [
     "write_gray_image",
 ]
 
-_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
-_COMMENT = ord("#")
+# A comment, or a token (group 1).  Bytes-mode \s is the six ASCII
+# whitespace bytes, and a token ends at whitespace or at a "#".
+_TOKEN = re.compile(rb"#[^\n]*|([^\s#]+)")
 MAX_MAXVAL = 65535
 
 
@@ -39,8 +42,14 @@ class PgmError(ValueError):
     """Base for graymap reading problems; carries the byte offset."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+        # Both arguments stay in ``args``, so the error survives pickling
+        # (a sweep's worker processes send it back to the parent).
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        message, offset = self.args
+        return f"{message} (byte offset {offset})"
 
 
 class PgmFormatError(PgmError):
@@ -80,42 +89,27 @@ class GrayImage:
         return self.matrix.shape
 
 
-class _Scanner:
-    """Byte-offset-tracking tokenizer for the ASCII parts of a graymap."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def _skip_filler(self):
-        data = self.data
-        n = len(data)
-        while self.pos < n:
-            byte = data[self.pos]
-            if byte == _COMMENT:
-                eol = data.find(b"\n", self.pos)
-                self.pos = n if eol < 0 else eol + 1
-            elif byte in _WHITESPACE:
-                self.pos += 1
-            else:
-                break
-
-    def next_uint(self, what: str, low: int, high: int) -> int:
-        self._skip_filler()
-        start = self.pos
-        data = self.data
-        n = len(data)
-        while self.pos < n and data[self.pos] not in _WHITESPACE and data[self.pos] != _COMMENT:
-            self.pos += 1
-        token = data[start : self.pos]
-        if not token:
-            raise PgmParseError(f"missing {what}", start)
+def _uints(data: bytes, pos: int, what: str, low: int, high: int):
+    """Yield ``(value, end)`` for each token of ``data`` from ``pos`` on,
+    skipping whitespace and comments, where ``value`` is the token as an
+    unsigned integer in [low, high] and ``end`` the offset just past it.
+    Errors name the value ``what.format(i)`` for the i-th token; a bad token
+    is reported at its first byte and a missing one at the end of ``data``."""
+    i = 0
+    for match in _TOKEN.finditer(data, pos):
+        token = match[1]
+        if token is None:
+            continue
         if not token.isdigit():
-            raise PgmParseError(f"{what} is not an unsigned integer: {token!r}", start)
+            raise PgmParseError(
+                f"{what.format(i)} is not an unsigned integer: {token!r}", match.start()
+            )
         value = int(token)
         if not low <= value <= high:
-            raise PgmParseError(f"{what} {value} outside [{low}, {high}]", start)
-        return value
+            raise PgmParseError(f"{what.format(i)} {value} outside [{low}, {high}]", match.start())
+        yield value, match.end()
+        i += 1
+    raise PgmParseError(f"missing {what.format(i)}", len(data))
 
 
 def load_gray_image(path) -> GrayImage:
@@ -124,17 +118,15 @@ def load_gray_image(path) -> GrayImage:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise PgmFormatError(f"unsupported magic {magic!r}, want P2 or P5", 0)
-    scan = _Scanner(data)
-    scan.pos = 2
-    width = scan.next_uint("width", 1, 10**9)
-    height = scan.next_uint("height", 1, 10**9)
-    maxval = scan.next_uint("maxval", 1, MAX_MAXVAL)
+    width, end = next(_uints(data, 2, "width", 1, 10**9))
+    height, end = next(_uints(data, end, "height", 1, 10**9))
+    maxval, end = next(_uints(data, end, "maxval", 1, MAX_MAXVAL))
 
     count = width * height
     if magic == b"P5":
-        if scan.pos >= len(data) or data[scan.pos] not in _WHITESPACE:
-            raise PgmParseError("expected one whitespace byte after maxval", scan.pos)
-        start = scan.pos + 1
+        if not data[end : end + 1].isspace():
+            raise PgmParseError("expected one whitespace byte after maxval", end)
+        start = end + 1
         itemsize = 1 if maxval < 256 else 2
         need = count * itemsize
         if len(data) - start < need:
@@ -154,16 +146,15 @@ def load_gray_image(path) -> GrayImage:
     else:
         # Each sample needs a digit and a separator, so a header that claims
         # more samples than the file can hold fails before the allocation.
-        left = len(data) - scan.pos
+        left = len(data) - end
         if left < 2 * count - 1:
             raise PgmParseError(
                 f"raster truncated: {count} samples need at least {2 * count - 1} "
                 f"bytes, have {left}",
                 len(data),
             )
-        values = np.empty(count)
-        for i in range(count):
-            values[i] = scan.next_uint(f"sample {i} value", 0, maxval)
+        samples = _uints(data, end, "sample {} value", 0, maxval)
+        values = np.fromiter((value for value, _ in samples), np.float64, count=count)
     matrix = values.reshape(height, width) / float(maxval)
     return GrayImage(matrix=matrix, maxval=maxval)
 

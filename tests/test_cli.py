@@ -14,6 +14,7 @@ from helpers import linear_counts, write_counts
 
 import reorgsvd.cli as cli
 import reorgsvd.core as core
+import reorgsvd.covid as covid
 from reorgsvd import (
     GrayImage,
     TridiagParams,
@@ -412,17 +413,36 @@ def test_sweep_pool_gets_the_clamped_worker_count(image_dir, tmp_path, monkeypat
 
 def test_covid_series_rejects_non_finite_values(tmp_path, monkeypatch, capsys):
     path = write_counts(tmp_path / "c.csv", linear_counts(["CA", "NY", "TX"], 6))
-    real = cli.covid_experiment
+    real = covid.rank_k_approx
 
-    def poisoned(panel, groups, rank):
-        rep = real(panel, groups, rank)
-        recon = rep.plain_recon.copy()
-        recon[1, 2] = np.inf
-        return dataclasses.replace(rep, plain_recon=recon)
+    def poisoned(f, k):
+        recon = real(f, k)
+        recon[-1, -1] = np.inf
+        return recon
 
-    monkeypatch.setattr(cli, "covid_experiment", poisoned)
+    monkeypatch.setattr(covid, "rank_k_approx", poisoned)
+    out = tmp_path / "o"
     rc = cli.main(["covid", str(path), "--start-date", "2020-05-17", "--days", "6",
                    "--states", "CA,NY,TX", "--groups", "3", "--rank", "1",
-                   "--out", str(tmp_path / "o")])
+                   "--out", str(out)])
     assert rc == 1
-    assert "error: cannot serialize non-finite float inf" in capsys.readouterr().err
+    assert "error: approx contains non-finite entries" in capsys.readouterr().err
+    assert not (out / "covid_series.csv").exists()
+
+
+def test_parallel_sweep_reports_a_malformed_graymap_like_a_sequential_one(
+    image_dir, tmp_path, monkeypatch, capsys
+):
+    # The worker's PgmParseError must cross the process boundary intact.
+    (image_dir / "bad.pgm").write_bytes(b"P2\n2 2\n9\n0 1 2 x\n")
+    argv = ["sweep", str(image_dir), "--tile-sizes", "4", "--targets", "0.1",
+            "--out", str(tmp_path / "o.csv")]
+    monkeypatch.delenv("RESHAPE_THREADS", raising=False)
+    assert cli.main(argv) == 1
+    sequential = capsys.readouterr().err
+    assert sequential == "error: sample 3 value is not an unsigned integer: b'x' (byte offset 15)\n"
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("RESHAPE_THREADS", "2")
+    assert cli._worker_count(3) == 2
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == sequential

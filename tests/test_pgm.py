@@ -1,5 +1,8 @@
 """Graymap reader/writer: scaling, quantization, and error offsets."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,3 +166,135 @@ def test_ascii_raster_too_short_for_its_header_fails_before_parsing(tmp_path):
         load_gray_image(_write(tmp_path, payload))
     assert "raster truncated: 3 samples need at least 5 bytes, have 4" in str(err.value)
     assert err.value.offset == len(payload)
+
+
+def test_pgm_errors_survive_pickling():
+    # A sweep's worker processes send these back to the parent by pickle.
+    for cls in (PgmParseError, PgmFormatError):
+        err = cls("sample 3 value is not an unsigned integer: b'x'", 15)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls
+        assert str(back) == str(err) == (
+            "sample 3 value is not an unsigned integer: b'x' (byte offset 15)"
+        )
+        assert back.offset == 15
+
+
+def _load_peak(path) -> int:
+    tracemalloc.start()
+    try:
+        load_gray_image(path)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_reader_memory_stays_near_the_file_size(tmp_path):
+    # Samples after the raster are never tokenized.
+    trailing = _write(tmp_path, b"P2 1 1 9 5\n" + b"7 " * (1 << 19), "trailing.pgm")
+    # Filler before the width is skipped without backtracking state.
+    filler = b"P2\n" + b" \t\r\n# a comment line\n" * (1 << 16) + b"1 1 9 5\n"
+    leading = _write(tmp_path, filler, "leading.pgm")
+    for path in (trailing, leading):
+        size = path.stat().st_size
+        assert size >= 1 << 20
+        assert _load_peak(path) < 1.5 * size
+
+
+# Separators: runs of the six whitespace bytes, and "#" comments, which end
+# at a newline and may touch the token before them.
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def _p2_strategies():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    spaces = st.lists(st.sampled_from(_WHITESPACE), min_size=1, max_size=3).map(bytes)
+    comment = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+    gap = st.lists(st.one_of(spaces, comment), min_size=1, max_size=3).map(b"".join)
+
+    @st.composite
+    def raster(draw):
+        width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        maxval = draw(st.one_of(st.integers(1, 65535), st.sampled_from([1, 255, 65535])))
+        samples = draw(st.lists(st.integers(0, maxval), min_size=width * height,
+                                max_size=width * height))
+        zeros = draw(st.lists(st.integers(0, 2), min_size=len(samples), max_size=len(samples)))
+        header = [b"P2", str(width).encode(), str(height).encode(), str(maxval).encode()]
+        tokens = [b"0" * z + str(v).encode() for z, v in zip(zeros, samples)]
+        gaps = draw(st.lists(gap, min_size=len(header) + len(tokens) - 1,
+                             max_size=len(header) + len(tokens) - 1))
+        return maxval, samples, header, tokens, gaps, width, height
+
+    return hyp, st, gap, raster()
+
+
+def _join(header, tokens, gaps):
+    """The file bytes and the offset of each sample token."""
+    out, starts = bytearray(), []
+    for i, token in enumerate(header + tokens):
+        if i >= len(header):
+            starts.append(len(out))
+        out += token
+        if i < len(gaps):
+            out += gaps[i]
+    return bytes(out), starts
+
+
+def test_p2_rasters_with_any_separators_load_exactly(tmp_path):
+    hyp, st, gap, raster = _p2_strategies()
+
+    # Content after the last sample, even a bad token, is ignored.
+    @hyp.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @hyp.given(raster, st.one_of(st.just(b""), gap, gap.map(lambda g: g + b"junk 1")))
+    def check(case, tail):
+        maxval, samples, header, tokens, gaps, width, height = case
+        data, _ = _join(header, tokens, gaps)
+        img = load_gray_image(_write(tmp_path, data + tail))
+        assert img.maxval == maxval
+        want = np.array(samples, dtype=np.float64).reshape(height, width) / maxval
+        assert np.array_equal(img.matrix, want)
+
+    check()
+
+
+def test_p2_raster_faults_are_reported_where_they_were_written(tmp_path):
+    hyp, st, _, raster = _p2_strategies()
+    non_digit = st.one_of(
+        st.sampled_from([b"x", b"+3", b"-1", b"1_0", b"3.0", b"1e3", b"\xb2", b"\xd9\xa3"]),
+        st.binary(min_size=1, max_size=4).filter(
+            lambda t: not t.isdigit() and not any(c in _WHITESPACE + b"#" for c in t)
+        ),
+    )
+
+    @hyp.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @hyp.given(raster, st.data())
+    def check(case, draw):
+        maxval, _, header, tokens, gaps, _, _ = case
+        j = draw.draw(st.integers(0, len(tokens) - 1))
+        fault = draw.draw(st.sampled_from(["non-digit", "over", "long", "drop"]))
+        if fault == "drop":
+            del tokens[j]
+            del gaps[len(header) + j - 1]
+            data, _ = _join(header, tokens, gaps)
+            with pytest.raises(PgmParseError) as err:
+                load_gray_image(_write(tmp_path, data))
+            assert str(err.value).startswith(("missing sample", "raster truncated"))
+            assert err.value.offset == len(data)
+            return
+        if fault == "non-digit":
+            tokens[j] = draw.draw(non_digit)
+            message = f"sample {j} value is not an unsigned integer: {tokens[j]!r}"
+        else:
+            value = (draw.draw(st.integers(maxval + 1, 10**6)) if fault == "over"
+                     else draw.draw(st.integers(10**24, 10**25 - 1)))
+            tokens[j] = str(value).encode()
+            message = f"sample {j} value {value} outside [0, {maxval}]"
+        data, starts = _join(header, tokens, gaps)
+        with pytest.raises(PgmParseError) as err:
+            load_gray_image(_write(tmp_path, data))
+        assert str(err.value) == f"{message} (byte offset {starts[j]})"
+        assert err.value.offset == starts[j]
+
+    check()
