@@ -19,6 +19,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import datetime as dt
+import io
 import os
 import sys
 from pathlib import Path
@@ -225,11 +226,17 @@ def _cmd_covid(args) -> int:
         writer.writerow(["state", "date", "actual", "plain_recon", "stacked_recon"])
         series = (panel.matrix, rep.plain_recon, rep.stacked_recon)
         days = [(panel.start + dt.timedelta(days=d)).isoformat() for d in range(panel.days)]
+        # Each line is the csv module's own "code," (quoted as it would
+        # quote the cell), the date and three floats, where "%.17g" gives
+        # the text of format(x, ".17g"); one write per entity.
         for code, *rows in zip(panel.entities, *series):
-            writer.writerows(
-                [code, day, format(a, ".17g"), format(p, ".17g"), format(s, ".17g")]
+            cell = io.StringIO()
+            csv.writer(cell, lineterminator="").writerow([code, ""])
+            head = cell.getvalue()
+            fh.write("".join(
+                "%s%s,%.17g,%.17g,%.17g\n" % (head, day, a, p, s)
                 for day, a, p, s in zip(days, *(r.tolist() for r in rows))
-            )
+            ))
 
     print(
         f"plain rank-{rep.rank}: {rep.plain_parameters} parameters, "

@@ -167,27 +167,34 @@ def _pivot_order(a: np.ndarray) -> tuple[np.ndarray, int]:
     return order, n
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pair schedule for one Jacobi sweep over ``n`` columns.
+def _round_robin(n: int) -> np.ndarray:
+    """Pair schedule for one Jacobi sweep over ``n`` columns, one round per
+    row with its pairs interleaved, p0 q0 p1 q1 ..., so that one gather and
+    one scatter move the whole round.
 
     Round-robin tournament (circle method): column 0 stays seated while the
-    others rotate one seat per round, and each round pairs seat k with the
+    others rotate one seat per round, so seat k > 0 of round r holds column
+    1 + (k - 1 - r) mod (seats - 1), and each round pairs seat k with the
     seat mirrored across the table.  An odd ``n`` gets a dummy column whose
-    pairs are dropped.  Over the ``n - 1`` rounds (``n`` when ``n`` is odd)
-    every pair (p, q), p < q, appears exactly once, and the pairs of one
-    round are disjoint, so a round can be rotated as a batch.
+    pair is dropped from every round.  Over the ``n - 1`` rounds (``n`` when
+    ``n`` is odd) every pair (p, q), p < q, appears exactly once, and the
+    pairs of one round are disjoint, so a round can be rotated as a batch.
+    Fewer than two columns have no pairs and no rounds.
     """
+    if n < 2:
+        return np.empty((0, 0), dtype=np.intp)
     seats = n + n % 2
     half = seats // 2
-    ring = np.arange(1, seats)
-    rounds = []
-    for r in range(seats - 1):
-        table = np.concatenate(([0], np.roll(ring, r)))
-        a, b = table[:half], table[::-1][:half]
-        real = (a < n) & (b < n)
-        if real.any():
-            rounds.append((np.minimum(a, b)[real], np.maximum(a, b)[real]))
-    return rounds
+    r = np.arange(seats - 1)[:, None]
+    k = np.arange(1, seats)
+    table = np.zeros((seats - 1, seats), dtype=np.intp)
+    table[:, 1:] = 1 + (k - 1 - r) % (seats - 1)
+    a, b = table[:, :half], table[:, : half - 1 : -1]
+    pairs = np.stack((np.minimum(a, b), np.maximum(a, b)), axis=2)
+    if n % 2:
+        # The dummy is column n, always the larger of its pair.
+        pairs = pairs[pairs[:, :, 1] < n].reshape(seats - 1, half - 1, 2)
+    return pairs.reshape(seats - 1, -1)
 
 
 def _jacobi(x: np.ndarray) -> tuple[int, int]:
@@ -201,9 +208,7 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
     """
     n = x.shape[0]
     rel2 = JACOBI_REL_TOL * JACOBI_REL_TOL
-    # Each round's pairs interleaved, p0 q0 p1 q1 ..., so that one gather
-    # and one scatter move the whole round.
-    rounds = [np.stack((p, q), axis=1).ravel() for p, q in _round_robin(n)]
+    rounds = _round_robin(n)
     rotations = 0
 
     for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):

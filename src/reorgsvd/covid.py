@@ -6,8 +6,11 @@ The expected CSV schema is one row per (date, state) with columns ``date``
 (ISO ``YYYY-MM-DD`` or compact ``YYYYMMDD``), ``state`` (two-letter code),
 ``positive`` and ``totalTestResults`` (cumulative counts).  Extra columns
 are ignored; rows for states or dates outside the requested window are
-skipped.  Rows are read by column index, the state code is checked first,
-and each distinct date text is parsed once per load: the file repeats every
+skipped, and a UTF-8 byte-order mark before the header is dropped.  Rows
+are read by column index.  The raw date text is tested first, so a row
+whose date is known to fall outside the window costs one lookup; then the
+state code; and a date is parsed only on a requested state's row, with one
+``strptime`` call per distinct date text and load: the file repeats every
 date once per state.  Error messages give the physical line of the row.
 
 A panel over ``days`` output days is loaded with a 7-day warmup so that the
@@ -61,12 +64,14 @@ class DataError(ValueError):
 
 def _parse_date(text: str) -> dt.date:
     text = text.strip()
-    for fmt in ("%Y-%m-%d", "%Y%m%d"):
-        try:
-            return dt.datetime.strptime(text, fmt).date()
-        except ValueError:
-            continue
-    raise DataError(f"unparseable date {text!r}, want YYYY-MM-DD or YYYYMMDD")
+    # Only the ISO format has a dash, so the text picks its one candidate.
+    fmt = "%Y-%m-%d" if "-" in text else "%Y%m%d"
+    try:
+        return dt.datetime.strptime(text, fmt).date()
+    except ValueError:
+        raise DataError(
+            f"unparseable date {text!r}, want YYYY-MM-DD or YYYYMMDD"
+        ) from None
 
 
 def _coerce_date(value) -> dt.date:
@@ -149,21 +154,27 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
             f"before it) falls outside the calendar years 1-9999"
         )
     first = start - dt.timedelta(days=SMOOTH_WINDOW)
-    dates = [first + dt.timedelta(days=i) for i in range(days + SMOOTH_WINDOW)]
+    ncols = days + SMOOTH_WINDOW
+    dates = [first + dt.timedelta(days=i) for i in range(ncols)]
     window = {day: i for i, day in enumerate(dates)}
     row_of = {code: i for i, code in enumerate(codes)}
 
-    shape = (len(codes), days + SMOOTH_WINDOW)
-    positives = np.full(shape, np.nan)
-    tests = np.full(shape, np.nan)
-    # Cells taken by a row so far, filled or not.
-    seen = np.zeros(shape, dtype=bool)
+    # Cells in row-major order, cell i * ncols + col for state i on window
+    # day col: the counts, nan until a row fills them, and whether a row
+    # has taken the cell so far, filled or not.
+    size = len(codes) * ncols
+    positives = [math.nan] * size
+    tests = [math.nan] * size
+    seen = bytearray(size)
 
     # The file repeats each date once per state, so each distinct raw date
-    # text is parsed once and mapped to its window column (None outside).
+    # text is parsed once and mapped to its window column (None outside),
+    # and each distinct raw state text is stripped once and mapped to its
+    # row (None for a state not requested).
     col_of: dict[str, int | None] = {}
+    state_of: dict[str, int | None] = {}
 
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in _REQUIRED_COLUMNS if c not in header]
@@ -182,23 +193,30 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
                 if not row:
                     continue
                 row += [""] * (width - len(row))
-            code = row[i_state].strip()
-            i = row_of.get(code)
-            if i is None:
-                continue
             text = row[i_date]
-            if text in col_of:
-                col = col_of[text]
-            else:
-                col = col_of[text] = window.get(_parse_date(text))
+            # -1: a date text not met yet.
+            col = col_of.get(text, -1)
             if col is None:
                 continue
-            if seen[i, col]:
+            raw = row[i_state]
+            i = state_of.get(raw, -1)
+            if i == -1:
+                i = state_of[raw] = row_of.get(raw.strip())
+            if i is None:
+                continue
+            # Parsed only on a requested state's row, so an unparseable date
+            # elsewhere is no error.
+            if col == -1:
+                col = col_of[text] = window.get(_parse_date(text))
+                if col is None:
+                    continue
+            cell = i * ncols + col
+            if seen[cell]:
                 raise DataError(
-                    f"duplicate row for state {code} on {dates[col].isoformat()} "
+                    f"duplicate row for state {codes[i]} on {dates[col].isoformat()} "
                     f"(line {reader.line_num})"
                 )
-            seen[i, col] = True
+            seen[cell] = 1
             for j, field, target in count_columns:
                 value = row[j].strip()
                 if not value:
@@ -210,12 +228,15 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
                 # Also false for nan, so unparseable text lands here too.
                 if not 0.0 <= count < math.inf:
                     raise DataError(
-                        f"bad {field} value {value!r} for state {code} on "
+                        f"bad {field} value {value!r} for state {codes[i]} on "
                         f"{dates[col].isoformat()} (line {reader.line_num}); "
                         f"a count must be a finite number >= 0"
                     )
-                target[i, col] = count
+                target[cell] = count
 
+    shape = (len(codes), ncols)
+    positives = np.array(positives).reshape(shape)
+    tests = np.array(tests).reshape(shape)
     gaps = []
     holes = np.isnan(positives) | np.isnan(tests)
     for i, j in zip(*np.nonzero(holes)):

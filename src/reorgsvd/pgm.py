@@ -95,6 +95,7 @@ def _uints(data: bytes, pos: int, what: str, low: int, high: int):
     unsigned integer in [low, high] and ``end`` the offset just past it.
     Errors name the value ``what.format(i)`` for the i-th token; a bad token
     is reported at its first byte and a missing one at the end of ``data``."""
+    places = len(str(high))
     i = 0
     for match in _TOKEN.finditer(data, pos):
         token = match[1]
@@ -104,6 +105,16 @@ def _uints(data: bytes, pos: int, what: str, low: int, high: int):
             raise PgmParseError(
                 f"{what.format(i)} is not an unsigned integer: {token!r}", match.start()
             )
+        if len(token) > places:
+            # Longer than high is out of range unless leading zeros pad it.
+            # Such a token is never converted: int() refuses a few thousand
+            # digits.
+            token = token.lstrip(b"0") or b"0"
+            if len(token) > places:
+                raise PgmParseError(
+                    f"{what.format(i)} {token.decode()} outside [{low}, {high}]",
+                    match.start(),
+                )
         value = int(token)
         if not low <= value <= high:
             raise PgmParseError(f"{what.format(i)} {value} outside [{low}, {high}]", match.start())

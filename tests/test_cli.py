@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import datetime as dt
+import io
 import json
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import linear_counts, write_counts
+from helpers import START, linear_counts, write_counts
 
 import reorgsvd.cli as cli
 import reorgsvd.core as core
@@ -253,6 +255,43 @@ def test_covid_command_end_to_end(tmp_path):
     # constant-rate panel normalizes to all ones and is exactly rank 1
     assert float(rows[0]["actual"]) == pytest.approx(1.0, abs=1e-12)
     assert float(rows[0]["plain_recon"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_covid_series_bytes_are_the_csv_modules_with_17_digit_floats(tmp_path):
+    # A code that needs quoting, and counts that give no round numbers.
+    rng = np.random.default_rng(61)
+    codes = ['A"B', "NY", "TX"]
+    rows = []
+    for code in codes:
+        tests = np.cumsum(rng.uniform(500.0, 1500.0, 13))
+        for off, tst in zip(range(-7, 6), tests):
+            day = (START + dt.timedelta(days=off)).isoformat()
+            rows.append([day, code, f"{tst * rng.uniform(0.05, 0.3):.3f}", f"{tst:.1f}"])
+    path = write_counts(tmp_path / "c.csv", rows)
+    assert '"A""B"' in path.read_text()
+    out = tmp_path / "out"
+    rc = cli.main(["covid", str(path), "--start-date", START.isoformat(), "--days", "6",
+                   "--states", ",".join(codes), "--groups", "3", "--rank", "1",
+                   "--out", str(out)])
+    assert rc == 0
+
+    panel = covid.load_state_timeseries(path, START, 6, states=codes)
+    rep = covid.covid_experiment(panel, 3, 1)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["state", "date", "actual", "plain_recon", "stacked_recon"])
+    for i, code in enumerate(codes):
+        for d in range(6):
+            day = (START + dt.timedelta(days=d)).isoformat()
+            values = (panel.matrix[i, d], rep.plain_recon[i, d], rep.stacked_recon[i, d])
+            writer.writerow([code, day] + [format(float(x), ".17g") for x in values])
+    written = (out / "covid_series.csv").read_bytes()
+    assert written == buf.getvalue().encode("utf-8")
+    assert written.splitlines()[1].startswith(b'"A""B",2020-05-17,')
+
+    # The writer's "%.17g" gives format's text on every kind of float.
+    for x in (-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1e16, float("inf"), float("nan")):
+        assert "%.17g" % x == format(x, ".17g")
 
 
 def test_covid_bad_csv_exits_1(tmp_path, capsys):

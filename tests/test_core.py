@@ -95,17 +95,37 @@ def test_thin_svd_matches_lapack_on_closed_form_inverses():
         assert np.abs(sig - ref).max() <= 1e-13 * ref[0]
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+def _circle_method(n):
+    """The circle-method schedule written out round by round: seat 0 stays,
+    the other seats rotate by one per round, and seat k meets the mirrored
+    seat; pairs with the dummy seat of an odd n are dropped."""
+    seats = n + n % 2
+    ring = list(range(1, seats))
+    rounds = []
+    for r in range(seats - 1):
+        table = [0] + ring[len(ring) - r:] + ring[:len(ring) - r]
+        pairs = [(min(table[k], table[-1 - k]), max(table[k], table[-1 - k]))
+                 for k in range(seats // 2)]
+        pairs = [pair for pair in pairs if pair[1] < n]
+        if pairs:
+            rounds.append(pairs)
+    return rounds
+
+
+@pytest.mark.parametrize("n", range(1, 71))
 def test_round_robin_visits_each_pair_once_in_disjoint_rounds(n):
     rounds = core._round_robin(n)
     assert len(rounds) == (0 if n == 1 else n - 1 + n % 2)
     seen = []
-    for p, q in rounds:
+    for pq in rounds:
+        p, q = pq[0::2], pq[1::2]
         assert np.all(p < q)
-        members = np.concatenate((p, q))
-        assert len(set(members.tolist())) == members.size
+        assert len(set(pq.tolist())) == pq.size
         seen.extend(zip(p.tolist(), q.tolist()))
     assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert [list(zip(pq[0::2].tolist(), pq[1::2].tolist())) for pq in rounds] == (
+        _circle_method(n)
+    )
 
 
 def test_thin_svd_sweep_cap(monkeypatch):

@@ -1,6 +1,9 @@
 """Positivity-panel loading, smoothing, and the stacking experiment."""
 
+import _strptime
+import csv
 import datetime as dt
+import math
 import random
 
 import numpy as np
@@ -328,6 +331,9 @@ def test_each_distinct_date_text_is_parsed_at_most_once(tmp_path, monkeypatch):
     rows = _linear_counts(["CA", "NY", "TX", "WA"], 20)
     rows += [[row[0], "ZZ", "1", "2"] for row in rows[:27]]
     random.Random(4).shuffle(rows)
+    # Every third row spells its date compactly, so both formats are met.
+    for row in rows[::3]:
+        row[0] = row[0].replace("-", "")
     path = _write_counts(tmp_path / "c.csv", rows)
     wanted = {"CA", "NY", "TX"}
     distinct = len({row[0] for row in rows if row[1] in wanted})
@@ -339,7 +345,176 @@ def test_each_distinct_date_text_is_parsed_at_most_once(tmp_path, monkeypatch):
         calls.append(text)
         return real(text)
 
+    # datetime.strptime hands every call to the _strptime module.
+    strptime_calls = []
+    real_strptime = _strptime._strptime
+
+    def counting_strptime(text, fmt):
+        strptime_calls.append(text)
+        return real_strptime(text, fmt)
+
     monkeypatch.setattr(covid, "_parse_date", counting)
+    monkeypatch.setattr(_strptime, "_strptime", counting_strptime)
     counts = load_state_counts(path, START, 20, states=sorted(wanted))
     assert counts.positives.shape == (3, 27)
     assert 0 < len(calls) <= distinct
+    assert len(strptime_calls) == len(set(strptime_calls)) == len(calls)
+
+
+def test_a_byte_order_mark_before_the_header_is_ignored(tmp_path):
+    rows = _linear_counts(["CA", "NY"], 4)
+    plain = load_state_counts(_write_counts(tmp_path / "p.csv", rows), START, 4,
+                              states=["CA", "NY"])
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "p.csv").read_bytes())
+    marked = load_state_counts(bom, START, 4, states=["CA", "NY"])
+    assert np.array_equal(marked.positives, plain.positives)
+    assert np.array_equal(marked.tests, plain.tests)
+
+
+_FIELDS = ("positive", "totalTestResults")
+
+
+def _reference_counts(path, start, days, codes):
+    """The loader's contract written out plainly: every row in file order,
+    every date parsed where the state is requested, no caches."""
+    first = start - dt.timedelta(days=7)
+    dates = [first + dt.timedelta(days=j) for j in range(days + 7)]
+    positives = np.full((len(codes), len(dates)), np.nan)
+    tests = np.full((len(codes), len(dates)), np.nan)
+    taken = set()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in ("date", "state") + _FIELDS if c not in header]
+        if missing:
+            raise DataError(f"CSV is missing required columns: {', '.join(missing)}")
+        where = {name: j for j, name in enumerate(header)}
+        columns = [where[c] for c in ("date", "state") + _FIELDS]
+        for row in reader:
+            if not row:
+                continue
+            row = row + [""] * (max(columns) + 1 - len(row))
+            date_text, code, *values = (row[j] for j in columns)
+            code = code.strip()
+            if code not in codes:
+                continue
+            date_text = date_text.strip()
+            day = None
+            for fmt in ("%Y-%m-%d", "%Y%m%d"):
+                try:
+                    day = dt.datetime.strptime(date_text, fmt).date()
+                    break
+                except ValueError:
+                    pass
+            if day is None:
+                raise DataError(
+                    f"unparseable date {date_text!r}, want YYYY-MM-DD or YYYYMMDD"
+                )
+            if day not in dates:
+                continue
+            i, j = codes.index(code), dates.index(day)
+            cell = f"state {code} on {day.isoformat()} (line {reader.line_num})"
+            if (i, j) in taken:
+                raise DataError(f"duplicate row for {cell}")
+            taken.add((i, j))
+            for field, value, target in zip(_FIELDS, values, (positives, tests)):
+                value = value.strip()
+                if not value:
+                    continue
+                try:
+                    count = float(value)
+                except ValueError:
+                    count = math.nan
+                if not (math.isfinite(count) and count >= 0.0):
+                    raise DataError(f"bad {field} value {value!r} for {cell}; "
+                                    f"a count must be a finite number >= 0")
+                target[i, j] = count
+    gaps = [f"{codes[i]} {dates[j].isoformat()}"
+            for i in range(len(codes)) for j in range(len(dates))
+            if math.isnan(positives[i, j]) or math.isnan(tests[i, j])]
+    if gaps:
+        more = f" and {len(gaps) - 10} more" if len(gaps) > 10 else ""
+        raise DataError(f"missing counts for {', '.join(gaps[:10])}{more}")
+    return positives, tests
+
+
+def _random_counts_csv(rng, path, codes, days):
+    """A shuffled counts file for ``codes`` over the window of ``days``
+    output days plus rows around it, with faults at a random rate."""
+    rate = rng.choice([0.0, 0.01, 0.05])
+    extra = rng.random() < 0.5
+    header = ["date", "state", "positive", "totalTestResults"] + (["note"] if extra else [])
+    rng.shuffle(header)
+
+    def date_text(off):
+        day = START + dt.timedelta(days=off)
+        return day.strftime(rng.choice(["%Y-%m-%d", "%Y%m%d"]))
+
+    def count_text(value):
+        if rng.random() < rate:
+            return rng.choice(["", "x", "-1", "inf", "nan", "1e400", "--3"])
+        text = rng.choice([f"{value:.1f}", str(int(value)), f"{value:.6e}"])
+        if rng.random() < 0.05:
+            text = "-0"
+        return rng.choice(["", " ", "\t"]) + text + rng.choice(["", " "])
+
+    def record(off, code, pos, tst):
+        note = rng.choice(["", "n", "two\nlines", 'say "hi"'])
+        cells = {"date": date_text(off), "state": code, "positive": count_text(pos),
+                 "totalTestResults": count_text(tst), "note": note}
+        return [cells[name] for name in header]
+
+    rows = []
+    for code in codes:
+        spelled = rng.choice([code, f" {code}", f"{code} ", f"\t{code}"])
+        for off in range(-9, days + 2):
+            if rng.random() < rate:
+                continue
+            tst = 1000.0 * (off + 12) + rng.randrange(100)
+            rows.append(record(off, spelled, tst * rng.uniform(0.0, 0.3), tst))
+            if rng.random() < rate:
+                rows.append(record(off, code, 1.0, 2.0))
+    for _ in range(rng.randrange(8)):
+        rows.append(record(rng.randrange(-9, days + 2), rng.choice(["ZZ", "PR", "ca"]),
+                           1.0, 2.0))
+    for _ in range(rng.randrange(3)):
+        bad = [rng.choice(["17/05/2020", "2020-13-01", "", "20200230", "May 17"]),
+               rng.choice(["ZZ", "PR"] + (list(codes) if rng.random() < rate * 10 else [])),
+               "1", "2"]
+        rows.append([dict(zip(("date", "state", "positive", "totalTestResults"), bad))
+                     .get(name, "") for name in header])
+    for _ in range(rng.randrange(3)):
+        rows.append([])
+    for _ in range(rng.randrange(3) if rate else 0):
+        rows.append(record(0, rng.choice(codes), 1.0, 2.0)[: rng.randrange(1, 4)])
+    if extra:
+        rows += [record(0, "ZZ", 1.0, 2.0) + ["surplus", "7"]]
+    rng.shuffle(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def test_loader_matches_a_plain_reference_on_random_files(tmp_path):
+    rng = random.Random(2020)
+    outcomes = {"loaded": 0, "refused": 0}
+    for case in range(150):
+        codes = tuple(rng.sample(["CA", "NY", "TX", "WA"], rng.randrange(1, 4)))
+        days = rng.randrange(1, 5)
+        path = tmp_path / f"c{case}.csv"
+        _random_counts_csv(rng, path, codes, days)
+        try:
+            want = _reference_counts(path, START, days, codes)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                load_state_counts(path, START, days, states=codes)
+            assert str(err.value) == str(exc), case
+            outcomes["refused"] += 1
+            continue
+        got = load_state_counts(path, START, days, states=codes)
+        assert got.positives.tobytes() == want[0].tobytes(), case
+        assert got.tests.tobytes() == want[1].tobytes(), case
+        outcomes["loaded"] += 1
+    assert min(outcomes.values()) >= 30, outcomes

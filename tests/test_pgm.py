@@ -146,6 +146,28 @@ def test_malformed_header_tokens(tmp_path):
         load_gray_image(_write(tmp_path, b"P5\n2 2\n255"))
 
 
+def test_over_long_tokens_are_out_of_range_at_their_first_byte(tmp_path):
+    # Past 4300 digits int() itself refuses a token, so the length decides.
+    nines = b"9" * 5000
+    payload = b"P2 " + nines + b" 1 255 0"
+    with pytest.raises(PgmParseError) as err:
+        load_gray_image(_write(tmp_path, payload))
+    assert str(err.value).startswith("width 999")
+    assert "outside [1, 1000000000]" in str(err.value)
+    assert err.value.offset == 3
+
+    payload = b"P2 2 1 255 7 " + nines
+    with pytest.raises(PgmParseError) as err:
+        load_gray_image(_write(tmp_path, payload))
+    assert str(err.value).startswith("sample 1 value 999")
+    assert err.value.offset == payload.index(nines)
+
+    # Leading zeros do not count: a 5000-character 255 still loads.
+    padded = b"0" * 4997 + b"255"
+    img = load_gray_image(_write(tmp_path, b"P2 2 1 255 " + padded + b" 0"))
+    assert img.matrix.tolist() == [[1.0, 0.0]]
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(OSError):
         load_gray_image(tmp_path / "absent.pgm")
