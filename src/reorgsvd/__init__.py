@@ -9,40 +9,18 @@ the image and time-series experiment harnesses built on top.
 """
 
 from .core import (
-    ApproxReport,
     SvdConvergenceError,
     SvdFactorization,
-    approx_report,
-    as_matrix,
     frobenius_norm,
     parameter_count,
     rank_k_approx,
     relative_error,
     thin_svd,
 )
-from .covid import (
-    CountPanel,
-    CovidReport,
-    DataError,
-    SeriesPanel,
-    US_STATE_CODES,
-    covid_experiment,
-    load_state_counts,
-    load_state_timeseries,
-    piecewise_linear_panel,
-    positivity_and_smooth,
-)
-from .pgm import (
-    GrayImage,
-    PgmError,
-    PgmFormatError,
-    PgmParseError,
-    load_gray_image,
-    write_gray_image,
-)
+from .covid import DataError, covid_experiment, piecewise_linear_panel
+from .pgm import GrayImage, PgmError, load_gray_image, write_gray_image
 from .reshape import (
     KroneckerTerm,
-    TileScheme,
     columns_to_diag,
     columns_to_tiles,
     diag_to_columns,
@@ -52,19 +30,15 @@ from .reshape import (
     tile_to_columns,
     unstack_column_groups,
 )
-from .sweep import SweepRecord, crop_to_tile_multiple, min_rank_for_error, tile_sweep
+from .sweep import tile_sweep
 from .tridiag import (
-    Rank1Certificate,
     TridiagParams,
     assemble_tridiagonal,
-    build_bidiagonal_factors,
     certify_rank1_gap,
     closed_form_inverse,
     diag_energy,
     geometric_partial_sums,
-    linear_rate,
     remainder_increment,
-    remainder_term,
     spectral_norm_bound,
 )
 
@@ -72,51 +46,31 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ApproxReport",
-    "CountPanel",
-    "CovidReport",
     "DataError",
     "GrayImage",
     "KroneckerTerm",
     "PgmError",
-    "PgmFormatError",
-    "PgmParseError",
-    "Rank1Certificate",
-    "SeriesPanel",
     "SvdConvergenceError",
     "SvdFactorization",
-    "SweepRecord",
-    "TileScheme",
     "TridiagParams",
-    "US_STATE_CODES",
-    "approx_report",
-    "as_matrix",
     "assemble_tridiagonal",
-    "build_bidiagonal_factors",
     "certify_rank1_gap",
     "closed_form_inverse",
     "columns_to_diag",
     "columns_to_tiles",
     "covid_experiment",
-    "crop_to_tile_multiple",
     "diag_energy",
     "diag_to_columns",
     "frobenius_norm",
     "geometric_partial_sums",
     "kronecker_product",
     "ksvd_terms",
-    "linear_rate",
     "load_gray_image",
-    "load_state_counts",
-    "load_state_timeseries",
-    "min_rank_for_error",
     "parameter_count",
     "piecewise_linear_panel",
-    "positivity_and_smooth",
     "rank_k_approx",
     "relative_error",
     "remainder_increment",
-    "remainder_term",
     "spectral_norm_bound",
     "stack_column_groups",
     "thin_svd",

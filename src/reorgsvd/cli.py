@@ -36,22 +36,20 @@ __all__ = ["main"]
 
 
 def _list_of(kind, noun: str):
-    """Argument type for a comma-separated list of ``kind`` values."""
+    """Argument type for a comma-separated list of distinct ``kind`` values."""
 
     def parse(text: str) -> list:
         try:
-            values = [kind(part) for part in text.split(",") if part.strip()]
+            values = [kind(part) for part in map(str.strip, text.split(",")) if part]
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected comma-separated {noun}s, got {text!r}")
         if not values:
             raise argparse.ArgumentTypeError(f"expected at least one {noun}")
+        if len(set(values)) != len(values):
+            raise argparse.ArgumentTypeError(f"repeated {noun} in {text!r}")
         return values
 
     return parse
-
-
-_int_list = _list_of(int, "integer")
-_float_list = _list_of(float, "number")
 
 
 def _csv_cell(value) -> str:
@@ -310,15 +308,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tile-rows", type=int)
     ap.add_argument("--tile-cols", type=int)
     ap.add_argument("--tile", type=int, help="shorthand for square tiles")
-    ap.add_argument("--ranks", type=_int_list, required=True,
+    ap.add_argument("--ranks", type=_list_of(int, "integer"), required=True,
                     help="comma-separated ranks, e.g. 5,15,25")
     ap.add_argument("--out", required=True, help="output directory")
     ap.set_defaults(func=_cmd_approx)
 
     sw = sub.add_parser("sweep", help="tile-size sweep over a directory of graymaps")
     sw.add_argument("directory")
-    sw.add_argument("--tile-sizes", type=_int_list, required=True)
-    sw.add_argument("--targets", type=_float_list, required=True)
+    sw.add_argument("--tile-sizes", type=_list_of(int, "integer"), required=True)
+    sw.add_argument("--targets", type=_list_of(float, "number"), required=True)
     sw.add_argument("--out", required=True, help="output CSV path")
     sw.set_defaults(func=_cmd_sweep)
 
@@ -326,8 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cv.add_argument("csv", help="counts CSV (date,state,positive,totalTestResults)")
     cv.add_argument("--start-date", required=True)
     cv.add_argument("--days", type=int, default=150)
-    cv.add_argument("--states", type=lambda s: [c.strip() for c in s.split(",") if c.strip()],
-                    default=None, help="comma-separated codes; default: the 50 US states")
+    cv.add_argument("--states", type=_list_of(str, "state code"),
+                    help="comma-separated codes; default: the 50 US states")
     cv.add_argument("--groups", type=int, default=3)
     cv.add_argument("--rank", type=int, default=2)
     cv.add_argument("--rate-mode", choices=("cumulative", "daily"), default="cumulative")
@@ -340,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--alpha", type=float, default=0.5)
     vt.add_argument("--beta", type=float, default=0.5)
     vt.add_argument("--gamma", type=float, default=1.0)
-    vt.add_argument("--sizes", type=_int_list, required=True,
+    vt.add_argument("--sizes", type=_list_of(int, "integer"), required=True,
                     help="comma-separated matrix sizes")
     vt.add_argument("--out", default=None, help="optional JSON report path")
     vt.set_defaults(func=_cmd_verify)

@@ -80,14 +80,21 @@ def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, int]:
     return m, 0
 
 
+def _sum_sq(m: np.ndarray) -> tuple[float, int]:
+    """The sum of squared entries of ``m`` as (s, e), the sum being s * 4**e,
+    with s summed over ``m`` scaled by 2**-e by :func:`_unit_scale`."""
+    m, e = _unit_scale(m)
+    # Accumulate in the flat dot product; fast and accurate for float64.
+    flat = m.ravel()
+    return float(flat @ flat), e
+
+
 def frobenius_norm(a) -> float:
     """Square root of the sum of squared entries, scaled by a power of two
     first where they are extreme, so that no square overflows or underflows."""
-    m, e = _unit_scale(as_matrix(a))
-    # Accumulate in the flat dot product; fast and accurate for float64.
-    flat = m.ravel()
+    s, e = _sum_sq(as_matrix(a))
     try:
-        return math.ldexp(math.sqrt(float(flat @ flat)), e)
+        return math.ldexp(math.sqrt(s), e)
     except OverflowError:
         raise ValueError("Frobenius norm overflows float64") from None
 
@@ -368,15 +375,22 @@ def rank_k_approx(f: SvdFactorization, k: int) -> np.ndarray:
     return (uk * f.sigma[:k]) @ vk.T
 
 
+def _relative_to(a: np.ndarray, b, name: str) -> tuple[np.ndarray, float]:
+    """``b`` checked as ``name``, and ``||a||_F``, the norm a relative error
+    divides by: ``b`` must have the shape of ``a``, and ``a`` be nonzero."""
+    b = as_matrix(b, name)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    norm = frobenius_norm(a)
+    if norm == 0.0:
+        raise ValueError("relative error undefined for a zero matrix")
+    return b, norm
+
+
 def relative_error(a, b) -> float:
     """``||a - b||_F / ||a||_F``; requires matching shapes and nonzero ``a``."""
     ma = as_matrix(a, "a")
-    mb = as_matrix(b, "b")
-    if ma.shape != mb.shape:
-        raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    denom = frobenius_norm(ma)
-    if denom == 0.0:
-        raise ValueError("relative error undefined for a zero matrix")
+    mb, denom = _relative_to(ma, b, "b")
     return frobenius_norm(ma - mb) / denom
 
 
@@ -413,18 +427,10 @@ def approx_report(a, k: int, approx: np.ndarray | None = None) -> ApproxReport:
     m = as_matrix(a)
     k = _count(k, "rank", 1, min(m.shape))
     parameters = parameter_count(m.shape[0], m.shape[1], k)
-    norm = frobenius_norm(m)
-    if norm == 0.0:
-        raise ValueError("relative error undefined for a zero matrix")
     if approx is None:
         approx = rank_k_approx(thin_svd(m, rank=k), k)
-    else:
-        approx = as_matrix(approx, "approx")
-        if approx.shape != m.shape:
-            raise ValueError(f"shape mismatch: {m.shape} vs {approx.shape}")
-    diff, e = _unit_scale(m - approx)
-    flat = diff.ravel()
-    sq = float(flat @ flat)
+    approx, norm = _relative_to(m, approx, "approx")
+    sq, e = _sum_sq(m - approx)
     try:
         abs_sq = math.ldexp(sq, 2 * e)
     except OverflowError:

@@ -82,6 +82,19 @@ def _coerce_date(value) -> dt.date:
     return _parse_date(str(value))
 
 
+def _window(start: dt.date, days: int) -> list[dt.date]:
+    """The count window's dates: ``SMOOTH_WINDOW`` days before ``start``, then
+    ``days`` days from it."""
+    if (start.toordinal() - SMOOTH_WINDOW < dt.date.min.toordinal()
+            or start.toordinal() + days - 1 > dt.date.max.toordinal()):
+        raise DataError(
+            f"count window of {days} days from {start} (and the {SMOOTH_WINDOW} days "
+            f"before it) falls outside the calendar years 1-9999"
+        )
+    first = start - dt.timedelta(days=SMOOTH_WINDOW)
+    return [first + dt.timedelta(days=i) for i in range(days + SMOOTH_WINDOW)]
+
+
 @dataclass(frozen=True)
 class CountPanel:
     """Cumulative positives and tests per (state, day) over the count
@@ -104,8 +117,7 @@ class CountPanel:
             )
 
     def window_dates(self) -> list[dt.date]:
-        first = self.start - dt.timedelta(days=SMOOTH_WINDOW)
-        return [first + dt.timedelta(days=i) for i in range(self.days + SMOOTH_WINDOW)]
+        return _window(self.start, self.days)
 
 
 @dataclass(frozen=True)
@@ -146,16 +158,8 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
         raise DataError("need at least one state code")
     if len(set(codes)) != len(codes):
         raise DataError("duplicate state codes requested")
-
-    if (start.toordinal() - SMOOTH_WINDOW < dt.date.min.toordinal()
-            or start.toordinal() + days - 1 > dt.date.max.toordinal()):
-        raise DataError(
-            f"count window of {days} days from {start} (and the {SMOOTH_WINDOW} days "
-            f"before it) falls outside the calendar years 1-9999"
-        )
-    first = start - dt.timedelta(days=SMOOTH_WINDOW)
-    ncols = days + SMOOTH_WINDOW
-    dates = [first + dt.timedelta(days=i) for i in range(ncols)]
+    dates = _window(start, days)
+    ncols = len(dates)
     window = {day: i for i, day in enumerate(dates)}
     row_of = {code: i for i, code in enumerate(codes)}
 
@@ -350,8 +354,6 @@ class CovidReport:
     Reconstructions are entity x day panels; the stacked one is mapped back
     from the stacked layout."""
 
-    entities: tuple[str, ...]
-    days: int
     groups: int
     rank: int
     plain_rel_error: float
@@ -369,7 +371,6 @@ def covid_experiment(panel: SeriesPanel, groups: int, rank: int) -> CovidReport:
     the smaller side of both layouts; with ``groups=1`` the two routes are
     identical by construction."""
     m = panel.matrix
-    n_days = m.shape[1]
     g = _count(groups, "groups")
     stacked = stack_column_groups(m, g)
     k = _count(rank, "rank", 1, min(min(m.shape), min(stacked.shape)))
@@ -380,8 +381,6 @@ def covid_experiment(panel: SeriesPanel, groups: int, rank: int) -> CovidReport:
     stacked_rep = approx_report(stacked, k, approx=stacked_recon)
 
     return CovidReport(
-        entities=panel.entities,
-        days=n_days,
         groups=g,
         rank=k,
         plain_rel_error=plain_rep.rel_error,

@@ -71,6 +71,11 @@ def crop_to_tile_multiple(img: GrayImage, tile_rows: int, tile_cols: int) -> Gra
     )
 
 
+def _check_target(target: float) -> None:
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target must be in (0, 1), got {target}")
+
+
 def _rank_for_target(sigma: np.ndarray, target: float) -> tuple[int, float]:
     """Smallest k with tail energy ratio at most target**2, plus the
     achieved relative error, both straight from the singular values."""
@@ -95,8 +100,7 @@ def min_rank_for_error(a, target: float, f: SvdFactorization | None = None) -> t
 
     ``target`` must lie in (0, 1).  A precomputed factorization of ``a``
     may be passed to reuse it across targets."""
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target must be in (0, 1), got {target}")
+    _check_target(target)
     if f is None:
         f = thin_svd(a, rank=0)
     return _rank_for_target(f.sigma, target)
@@ -119,8 +123,7 @@ def tile_sweep(
     if not targets:
         raise ValueError("need at least one target")
     for t in targets:
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"target must be in (0, 1), got {t}")
+        _check_target(t)
 
     # (tile edge, or None for the plain method; SVD shape; singular values)
     layouts = [(None, img.shape, thin_svd(img.matrix, rank=0).sigma)]

@@ -121,6 +121,18 @@ def test_approx_usage_errors_exit_2(image_dir, tmp_path, capsys):
         (["sweep", "d", "--tile-sizes", "4", "--targets", "0.1,y"],
          "expected comma-separated numbers, got '0.1,y'"),
         (["sweep", "d", "--tile-sizes", "4", "--targets", ","], "expected at least one number"),
+        (["covid", "c.csv", "--start-date", "2020-06-01", "--states", ","],
+         "argument --states: expected at least one state code"),
+        # A repeated value would be swept, certified or reported twice; a
+        # repeated target used to count each image's win once per repeat.
+        (["approx", "x.pgm", "--ranks", "2,1,2"], "argument --ranks: repeated integer in '2,1,2'"),
+        (["sweep", "d", "--tile-sizes", "4, 4", "--targets", "0.1"],
+         "argument --tile-sizes: repeated integer in '4, 4'"),
+        (["sweep", "d", "--tile-sizes", "4", "--targets", "0.1,0.10"],
+         "argument --targets: repeated number in '0.1,0.10'"),
+        (["covid", "c.csv", "--start-date", "2020-06-01", "--states", "CA,NY, CA"],
+         "argument --states: repeated state code in 'CA,NY, CA'"),
+        (["verify-theorem", "--sizes", "5,5"], "argument --sizes: repeated integer in '5,5'"),
     ],
 )
 def test_malformed_lists_exit_2(argv, message, tmp_path, capsys):

@@ -15,18 +15,13 @@ from reorgsvd import (
     GrayImage,
     SvdConvergenceError,
     SvdFactorization,
-    TileScheme,
     TridiagParams,
-    approx_report,
-    as_matrix,
     closed_form_inverse,
     covid_experiment,
-    crop_to_tile_multiple,
     diag_to_columns,
     frobenius_norm,
     geometric_partial_sums,
     ksvd_terms,
-    load_state_counts,
     parameter_count,
     piecewise_linear_panel,
     rank_k_approx,
@@ -38,6 +33,10 @@ from reorgsvd import (
     unstack_column_groups,
     write_gray_image,
 )
+from reorgsvd.core import approx_report, as_matrix
+from reorgsvd.covid import load_state_counts
+from reorgsvd.reshape import TileScheme
+from reorgsvd.sweep import crop_to_tile_multiple
 
 
 def test_as_matrix_accepts_lists_and_coerces_dtype():
@@ -678,5 +677,9 @@ def test_approx_report_at_extreme_scales():
     # The squared error rounded to float64: 0.0 once it underflows, and
     # refused at 1e170, where it is about 1e340.
     assert rep.abs_error_sq == 0.0
-    with pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(ValueError, match="squared error overflows float64"):
         approx_report(a * 1e170, 2)
+    # relative_error never forms the squared error, so it still answers.
+    big = a * 1e170
+    approx = rank_k_approx(thin_svd(big, rank=2), 2)
+    assert abs(relative_error(big, approx) - base.rel_error) <= 1e-12

@@ -13,14 +13,16 @@ from helpers import START, linear_counts as _linear_counts, write_counts as _wri
 import reorgsvd.covid as covid
 from reorgsvd import (
     DataError,
-    US_STATE_CODES,
     covid_experiment,
-    load_state_counts,
-    load_state_timeseries,
     piecewise_linear_panel,
-    positivity_and_smooth,
     relative_error,
     stack_column_groups,
+)
+from reorgsvd.covid import (
+    US_STATE_CODES,
+    load_state_counts,
+    load_state_timeseries,
+    positivity_and_smooth,
 )
 
 

@@ -6,14 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reorgsvd import (
-    GrayImage,
-    PgmError,
-    PgmFormatError,
-    PgmParseError,
-    load_gray_image,
-    write_gray_image,
-)
+from reorgsvd import GrayImage, PgmError, load_gray_image, write_gray_image
+from reorgsvd.pgm import PgmFormatError, PgmParseError
 
 
 def _write(tmp_path, payload: bytes, name="t.pgm"):

@@ -1,10 +1,12 @@
 """README's examples run against the library and the CLI as they are."""
 
+import argparse
 import re
 import shlex
 import warnings
 from pathlib import Path
 
+import reorgsvd
 from reorgsvd import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +36,31 @@ def test_readme_command_lines_parse():
     parser = cli._build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def _names_a_word(text: str, word: str) -> bool:
+    return re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", text) is not None
+
+
+def test_readme_documents_every_cli_option():
+    text = README.read_text()
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [
+        f"{command} {option}"
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if not _names_a_word(text, option)
+    ]
+    assert len(subparsers.choices) == 4
+    assert not missing
+
+
+def test_readme_names_every_package_export():
+    # README owns the package list: a name added to ``reorgsvd.__all__``
+    # must be documented there.
+    text = README.read_text()
+    names = [name for name in reorgsvd.__all__ if name != "__version__"]
+    assert not [name for name in names if not _names_a_word(text, name)]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from reorgsvd import (
-    TileScheme,
     columns_to_diag,
     columns_to_tiles,
     diag_to_columns,
@@ -16,6 +15,7 @@ from reorgsvd import (
     tile_to_columns,
     unstack_column_groups,
 )
+from reorgsvd.reshape import TileScheme
 
 
 def test_tile_layout_pinned_on_demo_pair(demo_matrix, demo_tiled):

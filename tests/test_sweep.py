@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 import reorgsvd.sweep as sweep
-from reorgsvd import (
-    GrayImage,
-    crop_to_tile_multiple,
-    min_rank_for_error,
-    thin_svd,
-    tile_sweep,
-)
+from reorgsvd import GrayImage, thin_svd, tile_sweep
+from reorgsvd.sweep import crop_to_tile_multiple, min_rank_for_error
 
 
 def _image_from(matrix):

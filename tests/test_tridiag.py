@@ -9,17 +9,15 @@ import pytest
 from reorgsvd import (
     TridiagParams,
     assemble_tridiagonal,
-    build_bidiagonal_factors,
     certify_rank1_gap,
     closed_form_inverse,
     diag_energy,
     geometric_partial_sums,
-    linear_rate,
     remainder_increment,
-    remainder_term,
     spectral_norm_bound,
     thin_svd,
 )
+from reorgsvd.tridiag import build_bidiagonal_factors, linear_rate, remainder_term
 
 
 def _random_params(rng, n):
