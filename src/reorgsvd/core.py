@@ -176,8 +176,8 @@ def _pivot_order(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _round_robin(n: int) -> np.ndarray:
     """Pair schedule for one Jacobi sweep over ``n`` columns, one round per
-    row with its pairs interleaved, p0 q0 p1 q1 ..., so that one gather and
-    one scatter move the whole round.
+    row with its pairs interleaved, p0 q0 p1 q1 ...: the order in which
+    :func:`_jacobi` holds the rows of X while the round runs.
 
     Round-robin tournament (circle method): column 0 stays seated while the
     others rotate one seat per round, so seat k > 0 of round r holds column
@@ -204,60 +204,133 @@ def _round_robin(n: int) -> np.ndarray:
     return pairs.reshape(seats - 1, -1)
 
 
+def _round_moves(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rounds of :func:`_round_robin` as row orders, and one row
+    permutation from each round to the next.
+
+    A round's order lists its pairs as :func:`_round_robin` does, p0 q0
+    p1 q1 ..., and then, when ``n`` is odd, the idle column.  Returns the
+    first round's order and the moves, one row per round: row r holds the
+    positions, in round r's order, of the columns of round r + 1 (of the
+    first round, for the last r), so that ``order[moves[r]]`` is the next
+    order.  The moves overwrite the orders row by row, so the schedule is
+    one array.  Fewer than two columns have no rounds.
+    """
+    if n < 2:
+        return np.arange(n), np.empty((0, n), dtype=np.intp)
+    moves = _round_robin(n)
+    if n % 2:
+        # The idle column is the one a round leaves out: the sum of all the
+        # columns minus the sum of the round's.
+        idle = n * (n - 1) // 2 - moves.sum(axis=1)
+        moves = np.column_stack((moves, idle))
+    first = moves[0].copy()
+    rows = np.arange(n)
+    pos = np.empty(n, dtype=np.intp)
+    pos[first] = rows
+    for r in range(len(moves)):
+        nxt = moves[r + 1] if r + 1 < len(moves) else first
+        # ``pos`` locates the columns in round r, whose order is spent.
+        moves[r] = pos[nxt]
+        pos[nxt] = rows
+    return first, moves
+
+
+def _pair_views(m: np.ndarray, h: int) -> tuple[np.ndarray, ...]:
+    """``m``, its first 2h rows as h pairs of rows, and the first and the
+    second row of each pair."""
+    pairs = m[: 2 * h].reshape(h, 2, m.shape[1])
+    return m, pairs, pairs[:, 0], pairs[:, 1]
+
+
 def _jacobi(x: np.ndarray) -> tuple[int, int]:
     """One-sided Jacobi on the n x n ``X``, held one column per row (row j
     of ``x`` is column j of ``X``).  Works in place and returns the sweeps
     run and the pair rotations applied.
 
-    A round that rotates h pairs gathers their rows into one h x 2 x n
-    block, multiplies it by the h 2 x 2 rotations in one batched product,
-    and scatters the result back.
+    While it runs, the rows sit in the current round's order
+    (:func:`_round_moves`), so the round's h pairs are one h x 2 x n view.
+    One batched product rotates that view into a second buffer, and one
+    ``take`` moves the rows into the next round's order.  A pair that
+    needs no rotation gets the identity, which leaves its rows as they
+    are.  Every rotation, norm estimate and count is the one the pairs
+    would get one round at a time in column order.
     """
     n = x.shape[0]
     rel2 = JACOBI_REL_TOL * JACOBI_REL_TOL
-    rounds = _round_robin(n)
+    first, moves = _round_moves(n)
+    h = n // 2
+    # ``cur`` holds the rows in the current round's order; x itself serves
+    # as the other buffer.
+    cur, nxt = _pair_views(x[first], h), _pair_views(x, h)
+    # The batched product sums from +0, so it writes no -0.0 and an identity
+    # rotation returns every other value as it was.  When the input holds a
+    # -0.0, the rows of the pairs left alone are copied over the product.
+    keep_zero_signs = bool(np.signbit(x[x == 0.0]).any())
+    # Row pair (p, q) becomes (c p - s q, s p + c q).
+    g = np.empty((h, 2, 2))
+    gc, gc2, gs, gms = g[:, 0, 0], g[:, 1, 1], g[:, 1, 0], g[:, 0, 1]
+    # Ufuncs take these sooner than the floats 1.0 and 2.0, to the same bits.
+    ones, twos = np.ones(h), np.full(h, 2.0)
     rotations = 0
+    converged = False
 
-    for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
-        # Fresh squared column norms each sweep; the in-sweep updates below
-        # are cheap estimates that drift over many rotations.
-        norms = (x * x).sum(axis=1)
-        rotated = False
-        for pq in rounds:
-            blk = x[pq].reshape(-1, 2, n)
-            apq = np.einsum("ij,ij->i", blk[:, 0], blk[:, 1])
-            app = norms[pq[0::2]]
-            aqq = norms[pq[1::2]]
-            # An estimate that drifted to zero or below must not let a pair
-            # with apq == 0 through: the angle below divides by apq.
-            act = apq * apq > rel2 * np.abs(app * aqq)
-            if not act.all():
-                if not act.any():
-                    continue
-                pq = pq.reshape(-1, 2)[act].ravel()
-                blk = blk[act]
-                apq, app, aqq = apq[act], app[act], aqq[act]
-            rotated = True
-            rotations += apq.shape[0]
-            zeta = (aqq - app) / (2.0 * apq)
-            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            # Row pair (p, q) becomes (c p - s q, s p + c q).
-            g = np.empty((c.shape[0], 2, 2))
-            g[:, 0, 0] = c
-            g[:, 1, 1] = c
-            g[:, 1, 0] = s
-            np.negative(s, out=g[:, 0, 1])
-            x[pq] = np.matmul(g, blk).reshape(-1, n)
-            shift = t * apq
-            norms[pq[0::2]] = app - shift
-            norms[pq[1::2]] = aqq + shift
-        if not rotated:
-            return sweeps, rotations
-    raise SvdConvergenceError(
-        f"one-sided Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-    )
+    # An inactive pair may divide by apq == 0 below; its angle is set to 0,
+    # the identity, whatever the division gave.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
+            # Fresh squared column norms each sweep, in round order; the
+            # in-sweep updates below are cheap estimates that drift over
+            # many rotations.
+            norms = np.multiply(cur[0], cur[0], out=nxt[0]).sum(axis=1)
+            rotated = False
+            for move in moves:
+                rows, pairs, p, q = cur
+                apq = np.einsum("ij,ij->i", p, q)
+                app = norms[0 : 2 * h : 2]
+                aqq = norms[1 : 2 * h : 2]
+                # An estimate that drifted to zero or below must not let a
+                # pair with apq == 0 through: the angle below divides by apq.
+                act = apq * apq > rel2 * np.abs(app * aqq)
+                k = int(np.count_nonzero(act))
+                if k:
+                    rotated = True
+                    rotations += k
+                    zeta = (aqq - app) / (twos * apq)
+                    t = np.copysign(ones, zeta) / (np.abs(zeta) + np.hypot(ones, zeta))
+                    if k < h:
+                        t[~act] = 0.0
+                    np.divide(ones, np.sqrt(ones + t * t), out=gc)
+                    gc2[...] = gc
+                    np.multiply(t, gc, out=gs)
+                    np.negative(gs, out=gms)
+                    np.matmul(g, pairs, out=nxt[1])
+                    if keep_zero_signs and k < h:
+                        np.copyto(nxt[1], pairs, where=~act[:, None, None])
+                    if n % 2:
+                        nxt[0][-1] = rows[-1]
+                    shift = t * apq
+                    app -= shift
+                    aqq += shift
+                    cur, nxt = nxt, cur
+                np.take(cur[0], move, axis=0, out=nxt[0], mode="clip")
+                cur, nxt = nxt, cur
+                norms = norms[move]
+            if not rotated:
+                converged = True
+                break
+
+    # Back to column order, in x.
+    rows = cur[0]
+    if rows is x:
+        rows = nxt[0]
+        np.copyto(rows, x)
+    np.take(rows, np.argsort(first), axis=0, out=x, mode="clip")
+    if not converged:
+        raise SvdConvergenceError(
+            f"one-sided Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+        )
+    return sweeps, rotations
 
 
 def thin_svd(a, rank: int | None = None) -> SvdFactorization:
@@ -285,16 +358,17 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
 
     Each sweep visits every column pair of ``X`` once in round-robin order
     (Brent and Luk): a sweep over n columns is n - 1 rounds (n when n is
-    odd), and each round holds up to n / 2 disjoint pairs.  A round
-    gathers the pairs that need a rotation into one block, multiplies it
-    by their 2 x 2 rotations in one batched ``numpy.matmul``, and scatters
-    the result back.  The rotation for a pair (p, q) orthogonalizes the
-    two columns.  A pair is rotated when its cosine exceeds
-    ``JACOBI_REL_TOL``, whatever the size of the two columns, which keeps
-    the singular values above the rank cut accurate relative to themselves
-    (columns graded from 1 to 1e-10 keep every one to about 1e-15
-    relative).  Convergence is declared after a sweep with no rotations.
-    At most
+    odd), and each round holds up to n / 2 disjoint pairs.  The columns of
+    ``X`` are kept in the current round's pair order, so a round is one
+    batched ``numpy.matmul`` of all its pairs by their 2 x 2 rotations
+    (the identity for a pair that needs none) into a second buffer, and
+    one ``numpy.take`` that puts the columns in the next round's order.
+    The rotation for a pair (p, q) orthogonalizes the two columns.  A pair
+    is rotated when its cosine exceeds ``JACOBI_REL_TOL``, whatever the
+    size of the two columns, which keeps the singular values above the
+    rank cut accurate relative to themselves (columns graded from 1 to
+    1e-10 keep every one to about 1e-15 relative).  Convergence is
+    declared after a sweep with no rotations.  At most
     ``JACOBI_MAX_SWEEPS`` sweeps run, the final rotation-free one
     included; if the last of them still rotated,
     :class:`SvdConvergenceError` is raised.  The sweeps run and the pair
@@ -375,16 +449,21 @@ def rank_k_approx(f: SvdFactorization, k: int) -> np.ndarray:
     return (uk * f.sigma[:k]) @ vk.T
 
 
+def _denominator(size: float) -> float:
+    """``size``, a norm of a matrix or its sum of squares, checked as the
+    divisor of a relative error: a zero matrix has no relative error."""
+    if size == 0.0:
+        raise ValueError("relative error undefined for a zero matrix")
+    return size
+
+
 def _relative_to(a: np.ndarray, b, name: str) -> tuple[np.ndarray, float]:
     """``b`` checked as ``name``, and ``||a||_F``, the norm a relative error
     divides by: ``b`` must have the shape of ``a``, and ``a`` be nonzero."""
     b = as_matrix(b, name)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    norm = frobenius_norm(a)
-    if norm == 0.0:
-        raise ValueError("relative error undefined for a zero matrix")
-    return b, norm
+    return b, _denominator(frobenius_norm(a))
 
 
 def relative_error(a, b) -> float:

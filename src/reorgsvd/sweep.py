@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SvdFactorization, _count, parameter_count, thin_svd
+from .core import SvdFactorization, _count, _denominator, parameter_count, thin_svd
 from .pgm import GrayImage
 from .reshape import tile_to_columns
 
@@ -84,9 +84,7 @@ def _rank_for_target(sigma: np.ndarray, target: float) -> tuple[int, float]:
     # cancellation as the tail gets small.
     tails = np.zeros(sq.size + 1)
     tails[: sq.size] = np.cumsum(sq[::-1])[::-1]
-    total = tails[0]
-    if total == 0.0:
-        raise ValueError("relative error undefined for a zero matrix")
+    total = _denominator(tails[0])
     budget = target * target * total
     # The tails never increase and the last is exactly zero, so the first
     # k >= 1 with tails[k] <= budget exists and a binary search finds it.

@@ -1,7 +1,12 @@
-"""Small builders shared between the panel and CLI tests."""
+"""Small builders shared between the panel and CLI tests, and the
+round-at-a-time Jacobi kernel that the pair-major one must match."""
 
 import csv
 import datetime as dt
+
+import numpy as np
+
+from reorgsvd import core
 
 START = dt.date(2020, 5, 17)
 
@@ -25,3 +30,63 @@ def linear_counts(states, days, date_text=lambda d: d.isoformat()):
             tests = 1000.0 * (off + 9)
             rows.append([date_text(day), code, f"{rate * tests:.6f}", f"{tests:.1f}"])
     return rows
+
+
+def reference_jacobi(x: np.ndarray) -> tuple[int, int]:
+    """One-sided Jacobi on the n x n ``X``, held one column per row (row j
+    of ``x`` is column j of ``X``).  Works in place and returns the sweeps
+    run and the pair rotations applied.
+
+    A round that rotates h pairs gathers their rows into one h x 2 x n
+    block, multiplies it by the h 2 x 2 rotations in one batched product,
+    and scatters the result back.
+
+    The gather-and-scatter kernel that ``core._jacobi`` replaced, kept
+    as it was (with the names of ``core`` qualified), so that tests can
+    check the pair-major kernel against it bit for bit.
+    """
+    n = x.shape[0]
+    rel2 = core.JACOBI_REL_TOL * core.JACOBI_REL_TOL
+    rounds = core._round_robin(n)
+    rotations = 0
+
+    for sweeps in range(1, core.JACOBI_MAX_SWEEPS + 1):
+        # Fresh squared column norms each sweep; the in-sweep updates below
+        # are cheap estimates that drift over many rotations.
+        norms = (x * x).sum(axis=1)
+        rotated = False
+        for pq in rounds:
+            blk = x[pq].reshape(-1, 2, n)
+            apq = np.einsum("ij,ij->i", blk[:, 0], blk[:, 1])
+            app = norms[pq[0::2]]
+            aqq = norms[pq[1::2]]
+            # An estimate that drifted to zero or below must not let a pair
+            # with apq == 0 through: the angle below divides by apq.
+            act = apq * apq > rel2 * np.abs(app * aqq)
+            if not act.all():
+                if not act.any():
+                    continue
+                pq = pq.reshape(-1, 2)[act].ravel()
+                blk = blk[act]
+                apq, app, aqq = apq[act], app[act], aqq[act]
+            rotated = True
+            rotations += apq.shape[0]
+            zeta = (aqq - app) / (2.0 * apq)
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            # Row pair (p, q) becomes (c p - s q, s p + c q).
+            g = np.empty((c.shape[0], 2, 2))
+            g[:, 0, 0] = c
+            g[:, 1, 1] = c
+            g[:, 1, 0] = s
+            np.negative(s, out=g[:, 0, 1])
+            x[pq] = np.matmul(g, blk).reshape(-1, n)
+            shift = t * apq
+            norms[pq[0::2]] = app - shift
+            norms[pq[1::2]] = aqq + shift
+        if not rotated:
+            return sweeps, rotations
+    raise core.SvdConvergenceError(
+        f"one-sided Jacobi did not converge in {core.JACOBI_MAX_SWEEPS} sweeps"
+    )

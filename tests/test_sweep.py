@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import reorgsvd.core as core
 import reorgsvd.sweep as sweep
-from reorgsvd import GrayImage, thin_svd, tile_sweep
+from reorgsvd import GrayImage, relative_error, thin_svd, tile_sweep
 from reorgsvd.sweep import crop_to_tile_multiple, min_rank_for_error
 
 
@@ -101,6 +102,20 @@ def test_rank_for_target_matches_a_linear_scan():
         for target in targets:
             if 0.0 < target < 1.0:
                 assert sweep._rank_for_target(sig, target) == _rank_by_scan(sig, target)
+
+
+def test_zero_matrix_rule_has_one_owner(monkeypatch):
+    # The rank selector and the error measure both ask core's one check.
+    with pytest.raises(ValueError, match="relative error undefined for a zero matrix"):
+        sweep._rank_for_target(np.zeros(3), 0.1)
+    with pytest.raises(ValueError, match="relative error undefined for a zero matrix"):
+        relative_error(np.zeros((2, 2)), np.ones((2, 2)))
+    asked = []
+    monkeypatch.setattr(core, "_denominator", lambda size: asked.append(size) or 1.0)
+    monkeypatch.setattr(sweep, "_denominator", core._denominator)
+    assert sweep._rank_for_target(np.zeros(3), 0.1) == (1, 0.0)
+    assert relative_error(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+    assert asked == [0.0, 0.0]
 
 
 def test_min_rank_validates_inputs():
