@@ -174,82 +174,64 @@ def _pivot_order(a: np.ndarray) -> tuple[np.ndarray, int]:
     return order, n
 
 
-def _round_robin(n: int) -> np.ndarray:
-    """Pair schedule for one Jacobi sweep over ``n`` columns, one round per
-    row with its pairs interleaved, p0 q0 p1 q1 ...: the order in which
-    :func:`_jacobi` holds the rows of X while the round runs.
+def _schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair schedule for one Jacobi sweep over an even number ``n`` of
+    columns, as the first round's row order and one row permutation from
+    each round to the next.
 
     Round-robin tournament (circle method): column 0 stays seated while the
     others rotate one seat per round, so seat k > 0 of round r holds column
-    1 + (k - 1 - r) mod (seats - 1), and each round pairs seat k with the
-    seat mirrored across the table.  An odd ``n`` gets a dummy column whose
-    pair is dropped from every round.  Over the ``n - 1`` rounds (``n`` when
-    ``n`` is odd) every pair (p, q), p < q, appears exactly once, and the
-    pairs of one round are disjoint, so a round can be rotated as a batch.
-    Fewer than two columns have no pairs and no rounds.
+    1 + (k - 1 - r) mod (n - 1), and each round pairs seat k with the seat
+    mirrored across the table.  Over the n - 1 rounds every pair (p, q),
+    p < q, appears exactly once, and the pairs of one round are disjoint,
+    so a round can be rotated as a batch.  A round's order lists its pairs
+    interleaved, p0 q0 p1 q1 ...: the order in which :func:`_jacobi` holds
+    the rows of X while the round runs.
+
+    Returns the first round's order and the moves, one row per round: row
+    r holds the positions, in round r's order, of the columns of round
+    r + 1 (of the first round, for the last r), so that
+    ``order[moves[r]]`` is the next order.  The moves overwrite the orders
+    row by row, so the schedule is one array.  Zero columns have no rounds.
     """
-    if n < 2:
-        return np.empty((0, 0), dtype=np.intp)
-    seats = n + n % 2
-    half = seats // 2
-    r = np.arange(seats - 1)[:, None]
-    k = np.arange(1, seats)
-    table = np.zeros((seats - 1, seats), dtype=np.intp)
-    table[:, 1:] = 1 + (k - 1 - r) % (seats - 1)
-    a, b = table[:, :half], table[:, : half - 1 : -1]
-    pairs = np.stack((np.minimum(a, b), np.maximum(a, b)), axis=2)
-    if n % 2:
-        # The dummy is column n, always the larger of its pair.
-        pairs = pairs[pairs[:, :, 1] < n].reshape(seats - 1, half - 1, 2)
-    return pairs.reshape(seats - 1, -1)
-
-
-def _round_moves(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rounds of :func:`_round_robin` as row orders, and one row
-    permutation from each round to the next.
-
-    A round's order lists its pairs as :func:`_round_robin` does, p0 q0
-    p1 q1 ..., and then, when ``n`` is odd, the idle column.  Returns the
-    first round's order and the moves, one row per round: row r holds the
-    positions, in round r's order, of the columns of round r + 1 (of the
-    first round, for the last r), so that ``order[moves[r]]`` is the next
-    order.  The moves overwrite the orders row by row, so the schedule is
-    one array.  Fewer than two columns have no rounds.
-    """
-    if n < 2:
-        return np.arange(n), np.empty((0, n), dtype=np.intp)
-    moves = _round_robin(n)
-    if n % 2:
-        # The idle column is the one a round leaves out: the sum of all the
-        # columns minus the sum of the round's.
-        idle = n * (n - 1) // 2 - moves.sum(axis=1)
-        moves = np.column_stack((moves, idle))
+    if n == 0:
+        return np.arange(0), np.empty((0, 0), dtype=np.intp)
+    rnd = np.arange(n - 1)[:, None]
+    table = np.zeros((n - 1, n), dtype=np.intp)
+    table[:, 1:] = 1 + (np.arange(n - 1) - rnd) % (n - 1)
+    a, b = table[:, : n // 2], table[:, : n // 2 - 1 : -1]
+    moves = np.empty_like(table)
+    np.minimum(a, b, out=moves[:, 0::2])
+    np.maximum(a, b, out=moves[:, 1::2])
     first = moves[0].copy()
     rows = np.arange(n)
     pos = np.empty(n, dtype=np.intp)
     pos[first] = rows
-    for r in range(len(moves)):
-        nxt = moves[r + 1] if r + 1 < len(moves) else first
+    for r in range(n - 1):
+        nxt = moves[r + 1] if r + 1 < n - 1 else first
         # ``pos`` locates the columns in round r, whose order is spent.
         moves[r] = pos[nxt]
         pos[nxt] = rows
     return first, moves
 
 
-def _pair_views(m: np.ndarray, h: int) -> tuple[np.ndarray, ...]:
-    """``m``, its first 2h rows as h pairs of rows, and the first and the
-    second row of each pair."""
-    pairs = m[: 2 * h].reshape(h, 2, m.shape[1])
+def _pair_views(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``m``, its rows as pairs of rows, and the first and the second row
+    of each pair."""
+    pairs = m.reshape(m.shape[0] // 2, 2, m.shape[1])
     return m, pairs, pairs[:, 0], pairs[:, 1]
 
 
 def _jacobi(x: np.ndarray) -> tuple[int, int]:
-    """One-sided Jacobi on the n x n ``X``, held one column per row (row j
-    of ``x`` is column j of ``X``).  Works in place and returns the sweeps
-    run and the pair rotations applied.
+    """One-sided Jacobi on ``X``, held one column per row (row j of ``x``
+    is column j of ``X``), with an even number n of columns; :func:`thin_svd`
+    gives an odd triangle one zero column, whose pairs are never rotated.
+    Works in place and returns the sweeps run and the pair rotations
+    applied.
 
     While it runs, the rows sit in the current round's order
-    (:func:`_round_moves`), so the round's h pairs are one h x 2 x n view.
+    (:func:`_schedule`), so the round's n/2 pairs are one n/2 x 2 view of
+    the rows.
     One batched product rotates that view into a second buffer, and one
     ``take`` moves the rows into the next round's order.  A pair that
     needs no rotation gets the identity, which leaves its rows as they
@@ -258,11 +240,11 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
     """
     n = x.shape[0]
     rel2 = JACOBI_REL_TOL * JACOBI_REL_TOL
-    first, moves = _round_moves(n)
+    first, moves = _schedule(n)
     h = n // 2
     # ``cur`` holds the rows in the current round's order; x itself serves
     # as the other buffer.
-    cur, nxt = _pair_views(x[first], h), _pair_views(x, h)
+    cur, nxt = _pair_views(x[first]), _pair_views(x)
     # The batched product sums from +0, so it writes no -0.0 and an identity
     # rotation returns every other value as it was.  When the input holds a
     # -0.0, the rows of the pairs left alone are copied over the product.
@@ -285,10 +267,10 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
             norms = np.multiply(cur[0], cur[0], out=nxt[0]).sum(axis=1)
             rotated = False
             for move in moves:
-                rows, pairs, p, q = cur
+                _, pairs, p, q = cur
                 apq = np.einsum("ij,ij->i", p, q)
-                app = norms[0 : 2 * h : 2]
-                aqq = norms[1 : 2 * h : 2]
+                app = norms[0::2]
+                aqq = norms[1::2]
                 # An estimate that drifted to zero or below must not let a
                 # pair with apq == 0 through: the angle below divides by apq.
                 act = apq * apq > rel2 * np.abs(app * aqq)
@@ -307,8 +289,6 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
                     np.matmul(g, pairs, out=nxt[1])
                     if keep_zero_signs and k < h:
                         np.copyto(nxt[1], pairs, where=~act[:, None, None])
-                    if n % 2:
-                        nxt[0][-1] = rows[-1]
                     shift = t * apq
                     app -= shift
                     aqq += shift
@@ -357,12 +337,14 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     by the trailing columns of ``Q1``.
 
     Each sweep visits every column pair of ``X`` once in round-robin order
-    (Brent and Luk): a sweep over n columns is n - 1 rounds (n when n is
-    odd), and each round holds up to n / 2 disjoint pairs.  The columns of
-    ``X`` are kept in the current round's pair order, so a round is one
-    batched ``numpy.matmul`` of all its pairs by their 2 x 2 rotations
-    (the identity for a pair that needs none) into a second buffer, and
-    one ``numpy.take`` that puts the columns in the next round's order.
+    (Brent and Luk): a sweep over an even r columns is r - 1 rounds of r / 2
+    disjoint pairs.  An odd r gets one zero column first, so a sweep is r
+    rounds of (r + 1) / 2 pairs, and the one pair per round that holds the
+    zero column is never rotated.  The columns of ``X`` are kept in the
+    current round's pair order, so a round is one batched ``numpy.matmul``
+    of all its pairs by their 2 x 2 rotations (the identity for a pair
+    that needs none) into a second buffer, and one ``numpy.take`` that
+    puts the columns in the next round's order.
     The rotation for a pair (p, q) orthogonalizes the two columns.  A pair
     is rotated when its cosine exceeds ``JACOBI_REL_TOL``, whatever the
     size of the two columns, which keeps the singular values above the
@@ -408,7 +390,12 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     # is r x r; row j holds column j of X = R2.T.
     x = np.linalg.qr(r1[:r].T, mode="r")
     del r1
+    if r % 2:
+        # A zero column gives the schedule an even order; it is orthogonal
+        # to every column, so its pairs are never rotated and it stays zero.
+        x = np.vstack((x, np.zeros((1, r))))
     sweeps, rotations = _jacobi(x)
+    x = x[:r]
 
     sig = np.sqrt((x * x).sum(axis=1))
     order = np.argsort(-sig, kind="stable")

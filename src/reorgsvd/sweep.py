@@ -14,14 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SvdFactorization, _count, _denominator, parameter_count, thin_svd
+from .core import _count, _denominator, parameter_count, thin_svd
 from .pgm import GrayImage
 from .reshape import tile_to_columns
 
 __all__ = [
     "SweepRecord",
     "crop_to_tile_multiple",
-    "min_rank_for_error",
     "tile_sweep",
 ]
 
@@ -71,11 +70,6 @@ def crop_to_tile_multiple(img: GrayImage, tile_rows: int, tile_cols: int) -> Gra
     )
 
 
-def _check_target(target: float) -> None:
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target must be in (0, 1), got {target}")
-
-
 def _rank_for_target(sigma: np.ndarray, target: float) -> tuple[int, float]:
     """Smallest k with tail energy ratio at most target**2, plus the
     achieved relative error, both straight from the singular values."""
@@ -90,18 +84,6 @@ def _rank_for_target(sigma: np.ndarray, target: float) -> tuple[int, float]:
     # k >= 1 with tails[k] <= budget exists and a binary search finds it.
     k = int(np.searchsorted(-tails[1:], -budget, side="left")) + 1
     return k, math.sqrt(tails[k] / total)
-
-
-def min_rank_for_error(a, target: float, f: SvdFactorization | None = None) -> tuple[int, float]:
-    """Minimum rank whose truncation brings the relative Frobenius error of
-    ``a`` down to ``target``, with the error actually achieved.
-
-    ``target`` must lie in (0, 1).  A precomputed factorization of ``a``
-    may be passed to reuse it across targets."""
-    _check_target(target)
-    if f is None:
-        f = thin_svd(a, rank=0)
-    return _rank_for_target(f.sigma, target)
 
 
 def tile_sweep(
@@ -121,7 +103,8 @@ def tile_sweep(
     if not targets:
         raise ValueError("need at least one target")
     for t in targets:
-        _check_target(t)
+        if not 0.0 < t < 1.0:
+            raise ValueError(f"target must be in (0, 1), got {t}")
 
     # (tile edge, or None for the plain method; SVD shape; singular values)
     layouts = [(None, img.shape, thin_svd(img.matrix, rank=0).sigma)]

@@ -1,5 +1,6 @@
 """Small builders shared between the panel and CLI tests, and the
-round-at-a-time Jacobi kernel that the pair-major one must match."""
+round-at-a-time Jacobi kernel, with its own schedule, that the pair-major
+one must match."""
 
 import csv
 import datetime as dt
@@ -32,6 +33,36 @@ def linear_counts(states, days, date_text=lambda d: d.isoformat()):
     return rows
 
 
+def _round_robin(n: int) -> np.ndarray:
+    """Pair schedule for one Jacobi sweep over ``n`` columns, one round per
+    row with its pairs interleaved, p0 q0 p1 q1 ...: the order in which
+    :func:`_jacobi` holds the rows of X while the round runs.
+
+    Round-robin tournament (circle method): column 0 stays seated while the
+    others rotate one seat per round, so seat k > 0 of round r holds column
+    1 + (k - 1 - r) mod (seats - 1), and each round pairs seat k with the
+    seat mirrored across the table.  An odd ``n`` gets a dummy column whose
+    pair is dropped from every round.  Over the ``n - 1`` rounds (``n`` when
+    ``n`` is odd) every pair (p, q), p < q, appears exactly once, and the
+    pairs of one round are disjoint, so a round can be rotated as a batch.
+    Fewer than two columns have no pairs and no rounds.
+    """
+    if n < 2:
+        return np.empty((0, 0), dtype=np.intp)
+    seats = n + n % 2
+    half = seats // 2
+    r = np.arange(seats - 1)[:, None]
+    k = np.arange(1, seats)
+    table = np.zeros((seats - 1, seats), dtype=np.intp)
+    table[:, 1:] = 1 + (k - 1 - r) % (seats - 1)
+    a, b = table[:, :half], table[:, : half - 1 : -1]
+    pairs = np.stack((np.minimum(a, b), np.maximum(a, b)), axis=2)
+    if n % 2:
+        # The dummy is column n, always the larger of its pair.
+        pairs = pairs[pairs[:, :, 1] < n].reshape(seats - 1, half - 1, 2)
+    return pairs.reshape(seats - 1, -1)
+
+
 def reference_jacobi(x: np.ndarray) -> tuple[int, int]:
     """One-sided Jacobi on the n x n ``X``, held one column per row (row j
     of ``x`` is column j of ``X``).  Works in place and returns the sweeps
@@ -43,11 +74,13 @@ def reference_jacobi(x: np.ndarray) -> tuple[int, int]:
 
     The gather-and-scatter kernel that ``core._jacobi`` replaced, kept
     as it was (with the names of ``core`` qualified), so that tests can
-    check the pair-major kernel against it bit for bit.
+    check the pair-major kernel against it bit for bit.  It runs any n,
+    odd or even, on the schedule of :func:`_round_robin`, also kept as it
+    was, so that the reference does not lean on the schedule under test.
     """
     n = x.shape[0]
     rel2 = core.JACOBI_REL_TOL * core.JACOBI_REL_TOL
-    rounds = core._round_robin(n)
+    rounds = _round_robin(n)
     rotations = 0
 
     for sweeps in range(1, core.JACOBI_MAX_SWEEPS + 1):

@@ -113,18 +113,22 @@ def _circle_method(n):
 
 @pytest.mark.parametrize("n", range(1, 71))
 def test_round_robin_visits_each_pair_once_in_disjoint_rounds(n):
-    rounds = core._round_robin(n)
-    assert len(rounds) == (0 if n == 1 else n - 1 + n % 2)
-    seen = []
-    for pq in rounds:
-        p, q = pq[0::2], pq[1::2]
-        assert np.all(p < q)
-        assert len(set(pq.tolist())) == pq.size
-        seen.extend(zip(p.tolist(), q.tolist()))
-    assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
-    assert [list(zip(pq[0::2].tolist(), pq[1::2].tolist())) for pq in rounds] == (
-        _circle_method(n)
-    )
+    # An odd n runs on the schedule of n + 1 columns, and the pairs of
+    # column n, the zero column, are dropped here as the dummy seat's are.
+    order, moves = core._schedule(n + n % 2)
+    assert len(moves) == n - 1 + n % 2
+    rounds = []
+    for move in moves:
+        pq = order.reshape(-1, 2).tolist()
+        assert len(set(order.tolist())) == order.size
+        assert all(p < q for p, q in pq)
+        pairs = [(p, q) for p, q in pq if q < n]
+        if pairs:
+            rounds.append(pairs)
+        order = order[move]
+    seen = sorted(pair for pairs in rounds for pair in pairs)
+    assert seen == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert rounds == _circle_method(n)
 
 
 def test_thin_svd_sweep_cap(monkeypatch):

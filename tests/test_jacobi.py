@@ -1,6 +1,7 @@
 """The pair-major Jacobi kernel against the gather-and-scatter kernel it
-replaced: the same bytes, sweeps and rotations, the same round schedule,
-and no more memory."""
+replaced: the same bytes, sweeps and rotations, an odd triangle padded
+with a zero column as ``thin_svd`` pads it, the round schedule, and a
+bounded memory peak."""
 
 import tracemalloc
 
@@ -18,6 +19,13 @@ def _triangle(a):
     perm, r = core._pivot_order(a)
     r1 = np.linalg.qr(a[:, perm], mode="r")
     return np.linalg.qr(r1[:r].T, mode="r")
+
+
+def _pad(x):
+    """``x`` as ``thin_svd`` hands it to the kernel: an odd number of rows
+    gets one zero row, a zero column of X."""
+    n = x.shape[0]
+    return np.vstack((x, np.zeros((n % 2, x.shape[1]))))
 
 
 def _gaussian(n, seed=0):
@@ -78,68 +86,112 @@ INPUTS |= {f"identity-{n}": (lambda n=n: np.eye(n)) for n in (9, 10)}
 @pytest.mark.parametrize("name", INPUTS)
 def test_jacobi_is_bit_identical_to_the_reference(name):
     x = INPUTS[name]()
-    want, got = x.copy(), x.copy()
+    n = x.shape[0]
+    want, got = x.copy(), _pad(x)
     counts = reference_jacobi(want)
     state = np.geterr()
     result = core._jacobi(got)
     assert result == counts
     assert [type(c) for c in result] == [int, int]
     # Bytes, so that -0.0 against 0.0 counts as a difference.
-    assert got.tobytes() == want.tobytes()
+    assert got[:n].tobytes() == want.tobytes()
+    # The pad row comes back all +0.0.
+    assert got[n:].tobytes() == bytes(8 * n * (n % 2))
     assert np.geterr() == state
 
 
 def test_jacobi_sweep_cap_matches_the_reference(monkeypatch):
-    x = _gaussian(30)
-    needed, _ = reference_jacobi(x.copy())
-    assert needed >= 3
-    monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", needed)
-    assert core._jacobi(x.copy()) == reference_jacobi(x.copy())
-    monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", needed - 1)
-    want, got = x.copy(), x.copy()
-    with pytest.raises(SvdConvergenceError, match=f"in {needed - 1} sweeps"):
-        reference_jacobi(want)
-    with pytest.raises(SvdConvergenceError, match=f"in {needed - 1} sweeps"):
-        core._jacobi(got)
-    # Both leave x as the capped sweeps made it.
-    assert got.tobytes() == want.tobytes()
+    for n in (30, 31):
+        x = _gaussian(n)
+        needed, _ = reference_jacobi(x.copy())
+        assert needed >= 3
+        monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", needed)
+        assert core._jacobi(_pad(x)) == reference_jacobi(x.copy())
+        monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", needed - 1)
+        want, got = x.copy(), _pad(x)
+        with pytest.raises(SvdConvergenceError, match=f"in {needed - 1} sweeps"):
+            reference_jacobi(want)
+        with pytest.raises(SvdConvergenceError, match=f"in {needed - 1} sweeps"):
+            core._jacobi(got)
+        # Both leave x as the capped sweeps made it, and the pad row zero.
+        assert got[:n].tobytes() == want.tobytes()
+        assert got[n:].tobytes() == bytes(8 * n * (n % 2))
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n", range(1, 71))
 def test_round_moves_walk_the_round_robin_rounds(n):
-    rounds = core._round_robin(n)
-    first, moves = core._round_moves(n)
-    assert moves.shape == (len(rounds), n)
-    order = first
-    for pq, move in zip(rounds, moves):
-        assert order[: pq.size].tolist() == pq.tolist()
-        assert sorted(order.tolist()) == list(range(n))
-        if n % 2:
-            # The idle column comes last.
-            assert order[-1] not in pq
+    # An odd n runs on the schedule of n + 1 columns, the last one zero.
+    m = n + n % 2
+    first, moves = core._schedule(m)
+    assert moves.shape == (m - 1, m)
+    order, seen = first, []
+    for move in moves:
+        assert sorted(order.tolist()) == list(range(m))
+        assert sorted(move.tolist()) == list(range(m))
+        seen.append(order.tolist())
         order = order[move]
-    # The last move leads back to the first round.
+    # The last move leads back to the first round, and no round repeats.
     assert order.tolist() == first.tolist()
+    assert len({tuple(o) for o in seen}) == m - 1
 
 
 @pytest.mark.parametrize("n", [200, 201])
-def test_jacobi_memory_at_most_the_reference(n, monkeypatch):
+def test_jacobi_memory_peak_is_bounded(n, monkeypatch):
+    # The kernel holds a second copy of the rows and the schedule, each
+    # about the size of the triangle, and building the schedule takes about
+    # one more.
     x = _gaussian(n)
-    peaks = []
-    for kernel in (reference_jacobi, core._jacobi):
-        # A small call first, so that neither peak holds numpy's first-call
-        # caches.
-        kernel(_gaussian(4 + n % 2))
-        # Each kernel allocates all it holds before its second sweep ends,
-        # so two sweeps show its peak in a fifth of the traced time.
-        monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", 2)
-        y = x.copy()
-        tracemalloc.start()
-        try:
-            with pytest.raises(SvdConvergenceError):
-                kernel(y)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-            monkeypatch.undo()
-    assert peaks[1] <= peaks[0]
+    # A small call first, so that the peak holds none of numpy's first-call
+    # caches.
+    core._jacobi(_pad(_gaussian(4 + n % 2)))
+    # The kernel allocates all it holds before its second sweep ends, so
+    # two sweeps show its peak.
+    monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", 2)
+    y = _pad(x)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SvdConvergenceError):
+            core._jacobi(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * x.nbytes
+
+
+def _rank_deficient():
+    rng = np.random.default_rng(8)
+    return rng.standard_normal((12, 7)) @ rng.standard_normal((7, 12))
+
+
+# Each input with the order r of its triangle.
+GLUE_INPUTS = {
+    "tall-odd": (lambda: np.random.default_rng(3).standard_normal((9, 7)), 7),
+    "tall-even": (lambda: np.random.default_rng(4).standard_normal((10, 8)), 8),
+    "wide-odd": (lambda: np.random.default_rng(5).standard_normal((7, 12)), 7),
+    "square-even": (lambda: np.random.default_rng(6).standard_normal((6, 6)), 6),
+    "square-rank-7": (_rank_deficient, 7),
+}
+
+
+@pytest.mark.parametrize("name", GLUE_INPUTS)
+def test_thin_svd_pads_odd_triangles_for_the_kernel(name, monkeypatch):
+    # thin_svd on the real kernel against thin_svd on the reference kernel
+    # run on the unpadded triangle: the pad must change no output bit.
+    build, r = GLUE_INPUTS[name]
+    a = build()
+    real = {rank: core.thin_svd(a, rank=rank) for rank in (None, 0, 1)}
+    shapes = []
+
+    def unpadded_reference(x):
+        shapes.append(x.shape)
+        assert x[r:].tobytes() == bytes(x[r:].nbytes)
+        return reference_jacobi(x[:r])
+
+    monkeypatch.setattr(core, "_jacobi", unpadded_reference)
+    for rank, want in real.items():
+        got = core.thin_svd(a, rank=rank)
+        for field in ("u", "sigma", "v"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert (got.sweeps, got.rotations) == (want.sweeps, want.rotations)
+    assert shapes == [(r + r % 2, r)] * 3

@@ -7,8 +7,8 @@ import pytest
 
 import reorgsvd.core as core
 import reorgsvd.sweep as sweep
-from reorgsvd import GrayImage, relative_error, thin_svd, tile_sweep
-from reorgsvd.sweep import crop_to_tile_multiple, min_rank_for_error
+from reorgsvd import GrayImage, relative_error, tile_sweep
+from reorgsvd.sweep import crop_to_tile_multiple
 
 
 def _image_from(matrix):
@@ -43,27 +43,25 @@ def test_crop_rejects_images_smaller_than_a_tile():
 
 
 def test_min_rank_on_known_spectrum():
-    # diagonal matrix: singular values are the diagonal absolute values
-    a = np.diag([4.0, 2.0, 1.0, 1.0])
+    sigma = np.array([4.0, 2.0, 1.0, 1.0])
     # total 22; tails: after k=1 -> 6, k=2 -> 2, k=3 -> 1, k=4 -> 0
-    k, err = min_rank_for_error(a, np.sqrt(6.0 / 22.0) + 1e-12)
+    k, err = sweep._rank_for_target(sigma, np.sqrt(6.0 / 22.0) + 1e-12)
     assert k == 1
     assert err == pytest.approx(np.sqrt(6.0 / 22.0), rel=1e-12)
-    k, err = min_rank_for_error(a, np.sqrt(6.0 / 22.0) - 1e-9)
+    k, err = sweep._rank_for_target(sigma, np.sqrt(6.0 / 22.0) - 1e-9)
     assert k == 2
     # budget 0.25**2 * 22 = 1.375 sits between the k=3 tail (1) and the
     # k=2 tail (2)
-    k, _ = min_rank_for_error(a, 0.25)
+    k, _ = sweep._rank_for_target(sigma, 0.25)
     assert k == 3
-    k, _ = min_rank_for_error(a, 0.05)
+    k, _ = sweep._rank_for_target(sigma, 0.05)
     assert k == 4
 
 
 def test_min_rank_boundary_target_is_accepted():
     # rank-1 truncation of diag(1, 1) leaves exactly half the energy, so a
     # target of sqrt(1/2) is met at rank 1 with equality
-    a = np.diag([1.0, 1.0])
-    k, err = min_rank_for_error(a, np.sqrt(0.5))
+    k, err = sweep._rank_for_target(np.array([1.0, 1.0]), np.sqrt(0.5))
     assert k == 1
     assert err == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
@@ -119,19 +117,12 @@ def test_zero_matrix_rule_has_one_owner(monkeypatch):
 
 
 def test_min_rank_validates_inputs():
-    a = np.eye(3)
+    img = _image_from(np.eye(3) * 0.5)
     for bad in (0.0, 1.0, -0.3, 2.0):
-        with pytest.raises(ValueError):
-            min_rank_for_error(a, bad)
-    with pytest.raises(ValueError):
-        min_rank_for_error(np.zeros((3, 3)), 0.5)
-
-
-def test_min_rank_reuses_precomputed_factorization():
-    rng = np.random.default_rng(42)
-    a = rng.normal(size=(10, 7))
-    f = thin_svd(a)
-    assert min_rank_for_error(a, 0.2, f=f) == min_rank_for_error(a, 0.2)
+        with pytest.raises(ValueError, match=r"target must be in \(0, 1\)"):
+            tile_sweep(img, "x", [1], [0.5, bad])
+    with pytest.raises(ValueError, match="zero matrix"):
+        sweep._rank_for_target(np.zeros(3), 0.5)
 
 
 def test_sweep_emits_complete_records_even_for_noise():
