@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .core import SvdConvergenceError, _count, approx_report, rank_k_approx, thin_svd
-from .covid import DataError, covid_experiment, load_state_timeseries
+from .covid import DataError, covid_experiment, load_state_counts, positivity_and_smooth
 from .pgm import GrayImage, PgmError, load_gray_image, write_gray_image
 from .report import SCHEMA_VERSION, dump, format_float
 from .reshape import columns_to_tiles, tile_to_columns
@@ -71,8 +71,8 @@ def _cmd_approx(args) -> int:
 
     if args.method == "tiled":
         p, q = args.tile_rows, args.tile_cols
-        cropped = crop_to_tile_multiple(img, p, q)
-        work, scheme = tile_to_columns(cropped.matrix, p, q)
+        cropped = crop_to_tile_multiple(img.matrix, p, q)
+        work, scheme = tile_to_columns(cropped, p, q)
         label = f"tiled{p}x{q}"
         tile_info = {
             "tile_rows": p,
@@ -83,7 +83,6 @@ def _cmd_approx(args) -> int:
             "cropped_cols": cropped.shape[1],
         }
     else:
-        cropped = img
         work, scheme = img.matrix, None
         label = "plain"
         tile_info = None
@@ -183,14 +182,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_covid(args) -> int:
-    panel = load_state_timeseries(
-        args.csv,
-        args.start_date,
-        args.days,
-        states=args.states,
-        rate_mode=args.rate_mode,
-        normalize=not args.no_normalize,
-    )
+    counts = load_state_counts(args.csv, args.start_date, args.days, states=args.states)
+    panel = positivity_and_smooth(counts, args.rate_mode, normalize=not args.no_normalize)
     rep = covid_experiment(panel, args.groups, args.rank)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -198,7 +198,10 @@ def _schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
         return np.arange(0), np.empty((0, 0), dtype=np.intp)
     rnd = np.arange(n - 1)[:, None]
     table = np.zeros((n - 1, n), dtype=np.intp)
-    table[:, 1:] = 1 + (np.arange(n - 1) - rnd) % (n - 1)
+    # In place, so that no temporary the size of the table is made.
+    np.subtract(np.arange(n - 1), rnd, out=table[:, 1:])
+    table[:, 1:] %= n - 1
+    table[:, 1:] += 1
     a, b = table[:, : n // 2], table[:, : n // 2 - 1 : -1]
     moves = np.empty_like(table)
     np.minimum(a, b, out=moves[:, 0::2])
@@ -237,6 +240,10 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
     needs no rotation gets the identity, which leaves its rows as they
     are.  Every rotation, norm estimate and count is the one the pairs
     would get one round at a time in column order.
+
+    ``x`` must hold no -0.0, which the identity would return as +0.0 (the
+    product sums from +0.0).  :func:`thin_svd` passes none: its QRs fill R
+    with +0.0 below the diagonal and sum from +0.0, and its pad row is zeros.
     """
     n = x.shape[0]
     rel2 = JACOBI_REL_TOL * JACOBI_REL_TOL
@@ -245,10 +252,6 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
     # ``cur`` holds the rows in the current round's order; x itself serves
     # as the other buffer.
     cur, nxt = _pair_views(x[first]), _pair_views(x)
-    # The batched product sums from +0, so it writes no -0.0 and an identity
-    # rotation returns every other value as it was.  When the input holds a
-    # -0.0, the rows of the pairs left alone are copied over the product.
-    keep_zero_signs = bool(np.signbit(x[x == 0.0]).any())
     # Row pair (p, q) becomes (c p - s q, s p + c q).
     g = np.empty((h, 2, 2))
     gc, gc2, gs, gms = g[:, 0, 0], g[:, 1, 1], g[:, 1, 0], g[:, 0, 1]
@@ -287,8 +290,6 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
                     np.multiply(t, gc, out=gs)
                     np.negative(gs, out=gms)
                     np.matmul(g, pairs, out=nxt[1])
-                    if keep_zero_signs and k < h:
-                        np.copyto(nxt[1], pairs, where=~act[:, None, None])
                     shift = t * apq
                     app -= shift
                     aqq += shift

@@ -40,7 +40,6 @@ __all__ = [
     "CovidReport",
     "load_state_counts",
     "positivity_and_smooth",
-    "load_state_timeseries",
     "piecewise_linear_panel",
     "covid_experiment",
 ]
@@ -303,20 +302,6 @@ def positivity_and_smooth(
         smoothed = smoothed / peaks[:, None]
 
     return SeriesPanel(entities=counts.entities, start=counts.start, matrix=smoothed)
-
-
-def load_state_timeseries(
-    csv_path,
-    start_date,
-    days: int,
-    states=None,
-    rate_mode: str = "cumulative",
-    normalize: bool = True,
-) -> SeriesPanel:
-    """Load counts and convert them in one step; see
-    :func:`load_state_counts` and :func:`positivity_and_smooth`."""
-    counts = load_state_counts(csv_path, start_date, days, states=states)
-    return positivity_and_smooth(counts, rate_mode=rate_mode, normalize=normalize)
 
 
 def piecewise_linear_panel(

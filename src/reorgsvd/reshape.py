@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SvdFactorization, _count, as_matrix, thin_svd
+from .core import _count, as_matrix, thin_svd
 
 __all__ = [
     "TileScheme",
@@ -164,8 +164,7 @@ def kronecker_product(b, c) -> np.ndarray:
     return np.kron(as_matrix(b, "b"), as_matrix(c, "c"))
 
 
-def ksvd_terms(a, tile_rows: int, tile_cols: int, r: int,
-               f: SvdFactorization | None = None) -> list[KroneckerTerm]:
+def ksvd_terms(a, tile_rows: int, tile_cols: int, r: int) -> list[KroneckerTerm]:
     """Leading ``r`` Kronecker terms of ``a`` for tile shape p x q.
 
     Each singular triple of the tiled unfolding yields one term: the right
@@ -175,10 +174,8 @@ def ksvd_terms(a, tile_rows: int, tile_cols: int, r: int,
     to the accuracy of the factorization.
     """
     x, scheme = tile_to_columns(a, tile_rows, tile_cols)
-    limit = min(x.shape) if f is None else f.rank_limit
-    r = _count(r, "r", 1, limit)
-    if f is None:
-        f = thin_svd(x, rank=r)
+    r = _count(r, "r", 1, min(x.shape))
+    f = thin_svd(x, rank=r)
     p, q = scheme.tile_rows, scheme.tile_cols
     gr, gc = scheme.grid_rows, scheme.grid_cols
     terms = []

@@ -31,7 +31,7 @@ class SweepRecord:
 
     ``tile_rows``/``tile_cols`` are None for the plain method.  ``rows`` and
     ``cols`` are the shape of the matrix the SVD actually ran on (the
-    cropped image for the plain method, the unfolding for tiles), so
+    image for the plain method, the unfolding of its crop for tiles), so
     ``parameters == achieved_rank * (rows + cols)`` always holds.
     """
 
@@ -48,26 +48,20 @@ class SweepRecord:
     winner: bool
 
 
-def crop_to_tile_multiple(img: GrayImage, tile_rows: int, tile_cols: int) -> GrayImage:
-    """Center-crop so both dimensions are tile-size multiples.
+def crop_to_tile_multiple(m: np.ndarray, tile_rows: int, tile_cols: int) -> np.ndarray:
+    """Center-crop the matrix ``m`` so both dimensions are tile-size
+    multiples, as a view of ``m``.
 
     Keeps floor(remainder / 2) rows off the top and the rest off the
-    bottom, likewise for columns.  Fails if the image is smaller than one
+    bottom, likewise for columns.  Fails if ``m`` is smaller than one
     tile."""
-    rows, cols = img.shape
+    rows, cols = m.shape
     p, q = _count(tile_rows, "tile_rows"), _count(tile_cols, "tile_cols")
     if rows < p or cols < q:
         raise ValueError(f"image {rows} x {cols} is smaller than one {p} x {q} tile")
-    keep_r = rows - rows % p
-    keep_c = cols - cols % q
-    top = (rows - keep_r) // 2
-    left = (cols - keep_c) // 2
-    if top == 0 and left == 0 and keep_r == rows and keep_c == cols:
-        return img
-    return GrayImage(
-        matrix=img.matrix[top : top + keep_r, left : left + keep_c].copy(),
-        maxval=img.maxval,
-    )
+    keep_r, keep_c = rows - rows % p, cols - cols % q
+    top, left = (rows - keep_r) // 2, (cols - keep_c) // 2
+    return m[top : top + keep_r, left : left + keep_c]
 
 
 def _rank_for_target(sigma: np.ndarray, target: float) -> tuple[int, float]:
@@ -110,8 +104,8 @@ def tile_sweep(
     layouts = [(None, img.shape, thin_svd(img.matrix, rank=0).sigma)]
     for s in tile_sizes:
         edge = _count(s, "tile_sizes")
-        cropped = crop_to_tile_multiple(img, edge, edge)
-        x, scheme = tile_to_columns(cropped.matrix, edge, edge)
+        cropped = crop_to_tile_multiple(img.matrix, edge, edge)
+        x, scheme = tile_to_columns(cropped, edge, edge)
         layouts.append((edge, scheme.unfolded_shape, thin_svd(x, rank=0).sigma))
 
     out: list[SweepRecord] = []

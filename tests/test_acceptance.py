@@ -168,7 +168,7 @@ def test_criterion_05_kronecker_svd_equivalence():
         f = thin_svd(x)
         via_reshape = columns_to_tiles(rank_k_approx(f, r), scheme)
         via_terms = sum(
-            kronecker_product(t.b, t.c) for t in ksvd_terms(a, p, q, r, f=f)
+            kronecker_product(t.b, t.c) for t in ksvd_terms(a, p, q, r)
         )
         dev = frobenius_norm(via_terms - via_reshape) / frobenius_norm(a)
         assert dev <= 1e-10

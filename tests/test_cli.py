@@ -287,7 +287,7 @@ def test_covid_series_bytes_are_the_csv_modules_with_17_digit_floats(tmp_path):
                    "--out", str(out)])
     assert rc == 0
 
-    panel = covid.load_state_timeseries(path, START, 6, states=codes)
+    panel = covid.positivity_and_smooth(covid.load_state_counts(path, START, 6, states=codes))
     rep = covid.covid_experiment(panel, 3, 1)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

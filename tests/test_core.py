@@ -645,8 +645,8 @@ def test_count_arguments_share_one_rule(tmp_path):
         ("groups", ValueError, lambda v: stack_column_groups(a, v)),
         ("groups", ValueError, lambda v: unstack_column_groups(a, v)),
         ("r", ValueError, lambda v: ksvd_terms(a, 3, 3, v)),
-        ("tile_rows", ValueError, lambda v: crop_to_tile_multiple(img, v, 3)),
-        ("tile_cols", ValueError, lambda v: crop_to_tile_multiple(img, 3, v)),
+        ("tile_rows", ValueError, lambda v: crop_to_tile_multiple(a, v, 3)),
+        ("tile_cols", ValueError, lambda v: crop_to_tile_multiple(a, 3, v)),
         ("tile_sizes", ValueError, lambda v: tile_sweep(img, "i.pgm", [v], [0.5])),
         # The panel loader reports every bad argument as a DataError.
         ("days", DataError,

@@ -18,12 +18,13 @@ from reorgsvd import (
     relative_error,
     stack_column_groups,
 )
-from reorgsvd.covid import (
-    US_STATE_CODES,
-    load_state_counts,
-    load_state_timeseries,
-    positivity_and_smooth,
-)
+from reorgsvd.covid import US_STATE_CODES, load_state_counts, positivity_and_smooth
+
+
+def _timeseries(path, start, days, states, rate_mode="cumulative", normalize=True):
+    """The smoothed panel, loaded and converted as the covid command does."""
+    counts = load_state_counts(path, start, days, states=states)
+    return positivity_and_smooth(counts, rate_mode=rate_mode, normalize=normalize)
 
 
 def test_loader_reads_window_and_skips_foreign_rows(tmp_path):
@@ -96,10 +97,10 @@ def test_default_states_are_the_fifty_codes():
 
 def test_constant_rate_panels_match_between_modes(tmp_path):
     path = _write_counts(tmp_path / "c.csv", _linear_counts(["CA", "NY", "TX"], 6))
-    cumulative = load_state_timeseries(path, START, 6, states=["CA", "NY", "TX"],
-                                       rate_mode="cumulative", normalize=False)
-    daily = load_state_timeseries(path, START, 6, states=["CA", "NY", "TX"],
-                                  rate_mode="daily", normalize=False)
+    cumulative = _timeseries(path, START, 6, states=["CA", "NY", "TX"],
+                             rate_mode="cumulative", normalize=False)
+    daily = _timeseries(path, START, 6, states=["CA", "NY", "TX"],
+                        rate_mode="daily", normalize=False)
     # constant positivity: both modes recover the constant everywhere
     for i, rate in enumerate((0.1, 0.2, 0.3)):
         assert np.allclose(cumulative.matrix[i], rate, atol=1e-12)
@@ -148,8 +149,8 @@ def test_zero_and_nonincreasing_test_counts_are_data_errors(tmp_path):
 
 def test_normalization_scales_each_row_to_unit_peak(tmp_path):
     path = _write_counts(tmp_path / "c.csv", _linear_counts(["CA", "NY"], 5))
-    raw = load_state_timeseries(path, START, 5, states=["CA", "NY"], normalize=False)
-    scaled = load_state_timeseries(path, START, 5, states=["CA", "NY"])
+    raw = _timeseries(path, START, 5, states=["CA", "NY"], normalize=False)
+    scaled = _timeseries(path, START, 5, states=["CA", "NY"])
     assert np.allclose(scaled.matrix.max(axis=1), 1.0, atol=1e-15)
     ratio = raw.matrix / scaled.matrix
     assert np.allclose(ratio, ratio[:, :1], atol=1e-12)
@@ -222,17 +223,6 @@ def test_experiment_validates_arguments():
         covid_experiment(panel, 2, 0)
     with pytest.raises(ValueError):
         covid_experiment(panel, 2, 100)
-
-
-def test_timeseries_is_the_composition(tmp_path):
-    path = _write_counts(tmp_path / "c.csv", _linear_counts(["CA", "NY"], 4))
-    direct = load_state_timeseries(path, START, 4, states=["CA", "NY"])
-    composed = positivity_and_smooth(
-        load_state_counts(path, START, 4, states=["CA", "NY"])
-    )
-    assert np.array_equal(direct.matrix, composed.matrix)
-    assert direct.entities == composed.entities
-    assert direct.start == START
 
 
 def test_loader_accepts_iso_and_compact_dates_in_one_file(tmp_path):

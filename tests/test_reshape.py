@@ -156,3 +156,85 @@ def test_ksvd_term_count_bounds():
         ksvd_terms(a, 2, 2, 0)
     with pytest.raises(ValueError):
         ksvd_terms(a, 2, 2, 5)
+
+
+# Entries that a layout must carry bit for bit, drawn among arbitrary finite
+# floats: signed zeros, subnormals and the ends of the float64 range.
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1.7e308, -1.7e308]
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _layout_strategies():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    values = st.one_of(st.sampled_from(_SPECIAL),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+    @st.composite
+    def matrix(draw, rows=st.integers(1, 16), cols=st.integers(1, 16)):
+        shape = (draw(rows), draw(cols))
+        return draw(hnp.arrays(np.float64, shape, elements=values))
+
+    square = st.integers(1, 16).flatmap(lambda n: matrix(st.just(n), st.just(n)))
+    settings = hyp.settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    return hyp, st, matrix(), square, settings
+
+
+def _bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+def _assert_permutes(out, a):
+    # The forward map only moves entries: the same multiset of bit patterns.
+    assert np.array_equal(np.sort(_bits(out), axis=None), np.sort(_bits(a), axis=None))
+
+
+def test_tile_round_trip_is_bitwise_on_divisor_shapes():
+    hyp, st, matrix, _, settings = _layout_strategies()
+
+    @settings
+    @hyp.given(matrix, st.data())
+    def check(a, data):
+        rows, cols = a.shape
+        p = data.draw(st.sampled_from(_divisors(rows)))
+        q = data.draw(st.sampled_from(_divisors(cols)))
+        x, scheme = tile_to_columns(a, p, q)
+        assert x.shape == (p * q, rows * cols // (p * q))
+        _assert_permutes(x, a)
+        assert columns_to_tiles(x, scheme).tobytes() == a.tobytes()
+
+    check()
+
+
+def test_stack_round_trip_is_bitwise_on_divisor_shapes():
+    hyp, st, matrix, _, settings = _layout_strategies()
+
+    @settings
+    @hyp.given(matrix, st.data())
+    def check(a, data):
+        rows, cols = a.shape
+        g = data.draw(st.sampled_from(_divisors(cols)))
+        b = stack_column_groups(a, g)
+        assert b.shape == (g * rows, cols // g)
+        _assert_permutes(b, a)
+        assert unstack_column_groups(b, g).tobytes() == a.tobytes()
+
+    check()
+
+
+def test_diag_round_trip_is_bitwise_on_square_shapes():
+    hyp, _, _, square, settings = _layout_strategies()
+
+    @settings
+    @hyp.given(square)
+    def check(a):
+        b = diag_to_columns(a)
+        assert b.shape == a.shape
+        _assert_permutes(b, a)
+        assert columns_to_diag(b).tobytes() == a.tobytes()
+
+    check()

@@ -16,30 +16,33 @@ def _image_from(matrix):
 
 
 def test_crop_keeps_exact_multiples_untouched():
-    img = _image_from(np.random.default_rng(41).uniform(0, 1, (12, 8)))
-    out = crop_to_tile_multiple(img, 4, 4)
-    assert np.array_equal(out.matrix, img.matrix)
+    m = np.random.default_rng(41).uniform(0, 1, (12, 8))
+    out = crop_to_tile_multiple(m, 4, 4)
+    assert np.array_equal(out, m)
+    assert np.shares_memory(out, m)
 
 
 def test_crop_offsets_are_centered():
     base = np.arange(7 * 9, dtype=np.float64).reshape(7, 9) / 100.0
-    out = crop_to_tile_multiple(_image_from(base), 3, 4)
+    out = crop_to_tile_multiple(base, 3, 4)
     # 7 rows -> keep 6, drop floor(1/2)=0 on top; 9 cols -> keep 8, drop
     # floor(1/2)=0 on the left
-    assert np.array_equal(out.matrix, base[0:6, 0:8])
-    out = crop_to_tile_multiple(_image_from(base), 2, 2)
+    assert np.array_equal(out, base[0:6, 0:8])
+    assert np.shares_memory(out, base)
+    out = crop_to_tile_multiple(base, 2, 2)
     # 7 -> keep 6 starting at row 0; 9 -> keep 8 starting at col 0
-    assert out.matrix.shape == (6, 8)
-    assert np.array_equal(out.matrix, base[0:6, 0:8])
+    assert out.shape == (6, 8)
+    assert np.array_equal(out, base[0:6, 0:8])
     base = np.arange(10 * 11, dtype=np.float64).reshape(10, 11) / 200.0
-    out = crop_to_tile_multiple(_image_from(base), 4, 4)
+    out = crop_to_tile_multiple(base, 4, 4)
     # 10 -> keep 8 starting at row 1; 11 -> keep 8 starting at col 1
-    assert np.array_equal(out.matrix, base[1:9, 1:9])
+    assert np.array_equal(out, base[1:9, 1:9])
+    assert np.shares_memory(out, base)
 
 
 def test_crop_rejects_images_smaller_than_a_tile():
     with pytest.raises(ValueError):
-        crop_to_tile_multiple(_image_from(np.ones((3, 10))), 4, 2)
+        crop_to_tile_multiple(np.ones((3, 10)), 4, 2)
 
 
 def test_min_rank_on_known_spectrum():
