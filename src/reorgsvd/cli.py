@@ -101,7 +101,7 @@ def _cmd_approx(args) -> int:
         write_gray_image(GrayImage.from_raw(approx), out_dir / name)
         records.append(
             {
-                "rank": rep.rank,
+                "rank": k,
                 "parameters": rep.parameters,
                 "abs_error_sq": rep.abs_error_sq,
                 "rel_error": rep.rel_error,
@@ -258,8 +258,6 @@ def _cmd_verify(args) -> int:
         for line in violations:
             print(f"  violation: {line}")
         entry = dataclasses.asdict(cert)
-        for name in ("alpha", "beta", "gamma"):
-            del entry[name]
         entry.update(
             rank1_gap=cert.rank1_gap,
             reorg_wins=cert.reorg_wins,

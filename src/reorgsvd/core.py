@@ -404,25 +404,21 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     sig = np.concatenate((sig[order], np.zeros(tn - r)))
     sigma = np.ldexp(sig, scale)
     if rank == 0:
-        empty_u, empty_v = np.empty((m0.shape[0], 0)), np.empty((tn, 0))
-        if transposed:
-            empty_u, empty_v = empty_v, empty_u
-        return SvdFactorization(u=empty_u, sigma=sigma, v=empty_v,
-                                sweeps=sweeps, rotations=rotations)
-
-    # U_X in the top-left block of the identity, so that the columns past
-    # the rank cut are Q1's own.  The product with Q1 is then the same BLAS
-    # call at every rank, and its leading columns come out bit-identical.
-    ux = np.eye(tn)
-    ux[:r, :r] = (x[order] / sig[:r, None]).T
-    del x
-    u = q1 @ ux
-    del q1, ux
-    u = np.ascontiguousarray(u[:, :rank])
-    # A.T u_j = sigma_j v_j; the QR restores the orthogonality that
-    # rounding costs, and the sign fix keeps each column along A.T u_j.
-    v, rv = np.linalg.qr(m0.T @ u)
-    v *= np.where(np.diagonal(rv) < 0.0, -1.0, 1.0)
+        u, v = np.empty((m0.shape[0], 0)), np.empty((tn, 0))
+    else:
+        # U_X in the top-left block of the identity keeps Q1's own columns
+        # past the rank cut, and makes the product with Q1 one BLAS call at
+        # every rank, whose leading columns come out bit-identical.
+        ux = np.eye(tn)
+        ux[:r, :r] = (x[order] / sig[:r, None]).T
+        del x
+        u = q1 @ ux
+        del q1, ux
+        u = np.ascontiguousarray(u[:, :rank])
+        # A.T u_j = sigma_j v_j; the QR restores the orthogonality that
+        # rounding costs, and the sign fix keeps each column along A.T u_j.
+        v, rv = np.linalg.qr(m0.T @ u)
+        v *= np.where(np.diagonal(rv) < 0.0, -1.0, 1.0)
     if transposed:
         u, v = v, u
     return SvdFactorization(u=u, sigma=sigma, v=v, sweeps=sweeps, rotations=rotations)
@@ -470,32 +466,24 @@ def parameter_count(rows: int, cols: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class ApproxReport:
-    """One rank-k approximation outcome for a single matrix."""
+    """The cost and the Frobenius error, squared and relative, of one rank-k approximation."""
 
-    rows: int
-    cols: int
-    rank: int
     parameters: int
     abs_error_sq: float
     rel_error: float
 
 
-def approx_report(a, k: int, approx: np.ndarray | None = None) -> ApproxReport:
-    """Approximate ``a`` at rank ``k``, an integer in [1, min(rows, cols)],
-    and report the cost and the error.
+def approx_report(a, k: int, approx: np.ndarray) -> ApproxReport:
+    """The cost and the error of ``approx``, the caller's rank-``k``
+    reconstruction of ``a``, with ``k`` an integer in [1, min(rows, cols)].
 
-    Without ``approx``, ``a`` is factored to its leading k triples.  Pass
-    the rank-k reconstruction ``approx`` itself when the caller builds it
-    anyway; it must be finite and of the shape of ``a``.  ``a`` must be
+    ``approx`` must be finite and of the shape of ``a``, and ``a`` must be
     nonzero for the relative error to be defined.  ``abs_error_sq`` is the
     squared error rounded to float64 (0.0 where it underflows; a
     ``ValueError`` where it overflows).
     """
     m = as_matrix(a)
     k = _count(k, "rank", 1, min(m.shape))
-    parameters = parameter_count(m.shape[0], m.shape[1], k)
-    if approx is None:
-        approx = rank_k_approx(thin_svd(m, rank=k), k)
     approx, norm = _relative_to(m, approx, "approx")
     sq, e = _sum_sq(m - approx)
     try:
@@ -503,10 +491,7 @@ def approx_report(a, k: int, approx: np.ndarray | None = None) -> ApproxReport:
     except OverflowError:
         raise ValueError("squared error overflows float64") from None
     return ApproxReport(
-        rows=m.shape[0],
-        cols=m.shape[1],
-        rank=k,
-        parameters=parameters,
+        parameters=parameter_count(m.shape[0], m.shape[1], k),
         abs_error_sq=abs_sq,
         rel_error=math.ldexp(math.sqrt(sq), e) / norm,
     )

@@ -115,9 +115,6 @@ class CountPanel:
                 f"and {self.tests.shape}"
             )
 
-    def window_dates(self) -> list[dt.date]:
-        return _window(self.start, self.days)
-
 
 @dataclass(frozen=True)
 class SeriesPanel:
@@ -179,63 +176,67 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
 
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in _REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"CSV is missing required columns: {', '.join(missing)}")
-        # A repeated column name reads from its last occurrence.
-        index = {name: j for j, name in enumerate(header)}
-        i_date, i_state, i_pos, i_tests = (index[c] for c in _REQUIRED_COLUMNS)
-        count_columns = (
-            (i_pos, "positive", positives),
-            (i_tests, "totalTestResults", tests),
-        )
-        width = max(i_date, i_state, i_pos, i_tests) + 1
-        for row in reader:
-            if len(row) < width:
-                if not row:
-                    continue
-                row += [""] * (width - len(row))
-            text = row[i_date]
-            # -1: a date text not met yet.
-            col = col_of.get(text, -1)
-            if col is None:
-                continue
-            raw = row[i_state]
-            i = state_of.get(raw, -1)
-            if i == -1:
-                i = state_of[raw] = row_of.get(raw.strip())
-            if i is None:
-                continue
-            # Parsed only on a requested state's row, so an unparseable date
-            # elsewhere is no error.
-            if col == -1:
-                col = col_of[text] = window.get(_parse_date(text))
+        # Only the reader raises csv.Error, as on a field over the csv module's size limit.
+        try:
+            header = next(reader, [])
+            missing = [c for c in _REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise DataError(f"CSV is missing required columns: {', '.join(missing)}")
+            # A repeated column name reads from its last occurrence.
+            index = {name: j for j, name in enumerate(header)}
+            i_date, i_state, i_pos, i_tests = (index[c] for c in _REQUIRED_COLUMNS)
+            count_columns = (
+                (i_pos, "positive", positives),
+                (i_tests, "totalTestResults", tests),
+            )
+            width = max(i_date, i_state, i_pos, i_tests) + 1
+            for row in reader:
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [""] * (width - len(row))
+                text = row[i_date]
+                # -1: a date text not met yet.
+                col = col_of.get(text, -1)
                 if col is None:
                     continue
-            cell = i * ncols + col
-            if seen[cell]:
-                raise DataError(
-                    f"duplicate row for state {codes[i]} on {dates[col].isoformat()} "
-                    f"(line {reader.line_num})"
-                )
-            seen[cell] = 1
-            for j, field, target in count_columns:
-                value = row[j].strip()
-                if not value:
+                raw = row[i_state]
+                i = state_of.get(raw, -1)
+                if i == -1:
+                    i = state_of[raw] = row_of.get(raw.strip())
+                if i is None:
                     continue
-                try:
-                    count = float(value)
-                except ValueError:
-                    count = math.nan
-                # Also false for nan, so unparseable text lands here too.
-                if not 0.0 <= count < math.inf:
+                # Parsed only on a requested state's row, so an unparseable date
+                # elsewhere is no error.
+                if col == -1:
+                    col = col_of[text] = window.get(_parse_date(text))
+                    if col is None:
+                        continue
+                cell = i * ncols + col
+                if seen[cell]:
                     raise DataError(
-                        f"bad {field} value {value!r} for state {codes[i]} on "
-                        f"{dates[col].isoformat()} (line {reader.line_num}); "
-                        f"a count must be a finite number >= 0"
+                        f"duplicate row for state {codes[i]} on {dates[col].isoformat()} "
+                        f"(line {reader.line_num})"
                     )
-                target[cell] = count
+                seen[cell] = 1
+                for j, field, target in count_columns:
+                    value = row[j].strip()
+                    if not value:
+                        continue
+                    try:
+                        count = float(value)
+                    except ValueError:
+                        count = math.nan
+                    # Also false for nan, so unparseable text lands here too.
+                    if not 0.0 <= count < math.inf:
+                        raise DataError(
+                            f"bad {field} value {value!r} for state {codes[i]} on "
+                            f"{dates[col].isoformat()} (line {reader.line_num}); "
+                            f"a count must be a finite number >= 0"
+                        )
+                    target[cell] = count
+        except csv.Error as exc:
+            raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
 
     shape = (len(codes), ncols)
     positives = np.array(positives).reshape(shape)
@@ -265,7 +266,7 @@ def positivity_and_smooth(
     the 7 daily rates ending on it.  With ``normalize`` every row is scaled
     by its own maximum, which must be positive."""
     pos, tst = counts.positives, counts.tests
-    dates = counts.window_dates()
+    dates = _window(counts.start, counts.days)
     if rate_mode == "cumulative":
         # Column 0 is only ever a subtrahend for daily increments; rates
         # start one column in.

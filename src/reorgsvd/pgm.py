@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _count, as_matrix
+from .core import as_matrix
 
 __all__ = [
     "PgmError",
@@ -63,26 +63,22 @@ class PgmParseError(PgmError):
 
 @dataclass(frozen=True)
 class GrayImage:
-    """A grayscale image as a rows x cols float matrix with entries in
-    [0, 1], plus the maxval of the file it came from (255 for images born
-    in memory via :meth:`from_raw`), an integer in [1, 65535]."""
+    """A grayscale image as a rows x cols float matrix with entries in [0, 1]."""
 
     matrix: np.ndarray
-    maxval: int = 255
 
     def __post_init__(self):
         m = as_matrix(self.matrix, "image matrix")
         if float(m.min()) < 0.0 or float(m.max()) > 1.0:
             raise ValueError("image entries must lie in [0, 1]")
         object.__setattr__(self, "matrix", m)
-        _count(self.maxval, "maxval", 1, MAX_MAXVAL)
 
     @classmethod
-    def from_raw(cls, matrix, maxval: int = 255) -> "GrayImage":
+    def from_raw(cls, matrix) -> "GrayImage":
         """Wrap an arbitrary real matrix as an image, clamping entries into
         [0, 1].  Clamping, not wrapping: 1.3 becomes 1.0, -0.2 becomes 0.0."""
         m = as_matrix(matrix, "image matrix")
-        return cls(matrix=np.clip(m, 0.0, 1.0), maxval=maxval)
+        return cls(matrix=np.clip(m, 0.0, 1.0))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -167,7 +163,7 @@ def load_gray_image(path) -> GrayImage:
         samples = _uints(data, end, "sample {} value", 0, maxval)
         values = np.fromiter((value for value, _ in samples), np.float64, count=count)
     matrix = values.reshape(height, width) / float(maxval)
-    return GrayImage(matrix=matrix, maxval=maxval)
+    return GrayImage(matrix=matrix)
 
 
 def write_gray_image(img: GrayImage, path) -> None:

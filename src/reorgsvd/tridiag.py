@@ -184,8 +184,8 @@ def remainder_increment(p: TridiagParams) -> float:
 
 @dataclass(frozen=True)
 class Rank1Certificate:
-    """Measured and closed-form quantities for one family member, with the
-    internal consistency checks that make the rank-1 comparison trustworthy.
+    """Measured and closed-form quantities for the size-``n`` member of the
+    caller's family, with the checks that make the rank-1 comparison sound.
 
     ``plain_rank1_err_sq`` and ``reorg_rank1_err_sq`` are measured squared
     Frobenius errors of rank-1 truncations of the inverse, in its plain
@@ -193,9 +193,6 @@ class Rank1Certificate:
     fields are closed forms the measurements are checked against.
     """
 
-    alpha: float
-    beta: float
-    gamma: float
     n: int
     top_singular_value: float
     spectral_bound: float
@@ -264,12 +261,10 @@ def certify_rank1_gap(p: TridiagParams) -> Rank1Certificate:
     inv = closed_form_inverse(p)
     f = thin_svd(inv, rank=1)
     plain = approx_report(inv, 1, approx=rank_k_approx(f, 1))
-    reorg = approx_report(diag_to_columns(inv), 1)
+    d = diag_to_columns(inv)
+    reorg = approx_report(d, 1, approx=rank_k_approx(thin_svd(d, rank=1), 1))
     diag = np.diagonal(inv)
     return Rank1Certificate(
-        alpha=p.alpha,
-        beta=p.beta,
-        gamma=p.gamma,
         n=p.n,
         top_singular_value=float(f.sigma[0]),
         spectral_bound=spectral_norm_bound(p),

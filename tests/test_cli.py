@@ -343,6 +343,32 @@ def test_covid_bad_count_exits_1_naming_the_line(tmp_path, capsys, text):
     assert "(line 6)" in err
 
 
+@pytest.mark.parametrize("where, line", [("header", 1), ("row", 3), ("multiline", 5)])
+def test_covid_oversized_csv_field_exits_1_naming_the_line(tmp_path, capsys, where, line):
+    # A field past the csv module's 131,072-character limit is bad data,
+    # reported at the physical line it ends on, not a csv.Error traceback.
+    big = "x" * 200_000
+    header = ["date", "state", "positive", "totalTestResults"]
+    rows = linear_counts(["CA"], 3)
+    if where == "header":
+        header.append(big)
+    elif where == "row":
+        rows[1][2] = big
+    else:
+        rows[1][2] = "1\n2\n" + big
+    path = write_counts(tmp_path / "c.csv", rows, header=header)
+    out = tmp_path / "o"
+    rc = cli.main(["covid", str(path), "--start-date", "2020-05-17", "--days", "3",
+                   "--states", "CA", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: malformed CSV at line {line}: field larger than field limit (131072)\n"
+    )
+    assert not out.exists()
+
+
 def test_verify_theorem_certifies_and_writes_report(tmp_path, capsys):
     out = tmp_path / "t.json"
     rc = cli.main(["verify-theorem", "--sizes", "5,12", "--out", str(out)])

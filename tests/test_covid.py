@@ -35,8 +35,6 @@ def test_loader_reads_window_and_skips_foreign_rows(tmp_path):
     counts = load_state_counts(path, START, 5, states=["CA", "NY"])
     assert counts.entities == ("CA", "NY")
     assert counts.positives.shape == (2, 12)
-    first = counts.window_dates()[0]
-    assert first == START - dt.timedelta(days=7)
     assert counts.tests[0, 0] == 1000.0 * 2
     assert counts.positives[1, -1] == pytest.approx(0.2 * 1000.0 * 13)
 
@@ -510,3 +508,73 @@ def test_loader_matches_a_plain_reference_on_random_files(tmp_path):
         assert got.tests.tobytes() == want[1].tobytes(), case
         outcomes["loaded"] += 1
     assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_fuzzed_headers_read_the_last_required_columns_or_name_the_missing(tmp_path):
+    # The four required columns, some of them dropped, shuffled among extra
+    # ones, with one name repeated and with or without a byte-order mark.
+    # Cells of a column the loader must not read hold decoys that would
+    # change or refuse the load, so a load equal to the canonical one shows
+    # that each required name was read from its last occurrence.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    required = ("date", "state", "positive", "totalTestResults")
+    decoy = {"date": "not a date", "state": "ZZ", "positive": "-1", "totalTestResults": "-1"}
+    codes = ["CA", "NY"]
+    rows = _linear_counts(codes, 3)
+    want = load_state_counts(_write_counts(tmp_path / "c.csv", rows), START, 3, states=codes)
+    canonical = dict(zip(required, zip(*rows)))
+
+    @st.composite
+    def headers(draw):
+        missing = draw(st.one_of(st.just([]), st.lists(st.sampled_from(required),
+                                                        unique=True, min_size=1)))
+        extras = draw(st.lists(st.text(max_size=12).filter(lambda s: s not in required),
+                               max_size=4))
+        names = [c for c in required if c not in missing] + extras
+        if names:
+            names.append(draw(st.sampled_from(names)))
+        names = draw(st.permutations(names))
+        filler = {name: draw(st.text(max_size=8)) for name in extras}
+        return names, filler, draw(st.booleans())
+
+    outcomes = {"loaded": 0, "refused": 0}
+
+    @hyp.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @hyp.given(headers())
+    def check(case):
+        names, filler, bom = case
+        # A file that opens with U+FEFF has a byte-order mark, whether or
+        # not the first name was meant to start with one.
+        seen = list(names)
+        if seen and not bom and seen[0].startswith("\ufeff"):
+            seen[0] = seen[0][1:]
+        last = {name: j for j, name in enumerate(seen)}
+
+        def cell(j, i):
+            name = seen[j]
+            if name in required:
+                return canonical[name][i] if last[name] == j else decoy[name]
+            return filler.get(names[j], "")
+
+        path = tmp_path / "f.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write("\ufeff" if bom else "")
+            writer = csv.writer(fh)
+            writer.writerow(names)
+            writer.writerows([cell(j, i) for j in range(len(names))] for i in range(len(rows)))
+        missing = [c for c in required if c not in last]
+        if missing:
+            with pytest.raises(DataError) as err:
+                load_state_counts(path, START, 3, states=codes)
+            assert str(err.value) == f"CSV is missing required columns: {', '.join(missing)}"
+            outcomes["refused"] += 1
+            return
+        got = load_state_counts(path, START, 3, states=codes)
+        assert got.entities == want.entities and got.start == want.start
+        assert got.positives.tobytes() == want.positives.tobytes()
+        assert got.tests.tobytes() == want.tests.tobytes()
+        outcomes["loaded"] += 1
+
+    check()
+    assert min(outcomes.values()) >= 10, outcomes
