@@ -18,7 +18,7 @@ from .core import (
     thin_svd,
 )
 from .covid import DataError, covid_experiment, piecewise_linear_panel
-from .pgm import GrayImage, PgmError, load_gray_image, write_gray_image
+from .pgm import PgmError, load_gray_image, write_gray_image
 from .reshape import (
     KroneckerTerm,
     columns_to_diag,
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "DataError",
-    "GrayImage",
     "KroneckerTerm",
     "PgmError",
     "SvdConvergenceError",

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .core import SvdConvergenceError, _count, approx_report, rank_k_approx, thin_svd
 from .covid import DataError, covid_experiment, load_state_counts, positivity_and_smooth
-from .pgm import GrayImage, PgmError, load_gray_image, write_gray_image
+from .pgm import PgmError, load_gray_image, write_gray_image
 from .report import SCHEMA_VERSION, dump, format_float
 from .reshape import columns_to_tiles, tile_to_columns
 from .sweep import SweepRecord, crop_to_tile_multiple, tile_sweep
@@ -71,7 +71,7 @@ def _cmd_approx(args) -> int:
 
     if args.method == "tiled":
         p, q = args.tile_rows, args.tile_cols
-        cropped = crop_to_tile_multiple(img.matrix, p, q)
+        cropped = crop_to_tile_multiple(img, p, q)
         work, scheme = tile_to_columns(cropped, p, q)
         label = f"tiled{p}x{q}"
         tile_info = {
@@ -83,7 +83,7 @@ def _cmd_approx(args) -> int:
             "cropped_cols": cropped.shape[1],
         }
     else:
-        work, scheme = img.matrix, None
+        work, scheme = img, None
         label = "plain"
         tile_info = None
 
@@ -98,7 +98,7 @@ def _cmd_approx(args) -> int:
         if scheme is not None:
             approx = columns_to_tiles(approx, scheme)
         name = f"{stem}_{label}_rank{k}.pgm"
-        write_gray_image(GrayImage.from_raw(approx), out_dir / name)
+        write_gray_image(approx, out_dir / name)
         records.append(
             {
                 "rank": k,
@@ -195,11 +195,11 @@ def _cmd_covid(args) -> int:
             "input": str(args.csv),
             "start_date": args.start_date,
             "days": args.days,
-            "states": list(panel.entities),
+            "states": list(counts.entities),
             "rate_mode": args.rate_mode,
             "normalized": not args.no_normalize,
-            "groups": rep.groups,
-            "rank": rep.rank,
+            "groups": args.groups,
+            "rank": args.rank,
             "plain": {
                 "parameters": rep.plain_parameters,
                 "rel_error": rep.plain_rel_error,
@@ -215,12 +215,12 @@ def _cmd_covid(args) -> int:
     with open(out_dir / "covid_series.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["state", "date", "actual", "plain_recon", "stacked_recon"])
-        series = (panel.matrix, rep.plain_recon, rep.stacked_recon)
-        days = [(panel.start + dt.timedelta(days=d)).isoformat() for d in range(panel.days)]
+        series = (panel, rep.plain_recon, rep.stacked_recon)
+        days = [(counts.start + dt.timedelta(days=d)).isoformat() for d in range(counts.days)]
         # Each line is the csv module's own "code," (quoted as it would
         # quote the cell), the date and three floats, where "%.17g" gives
         # the text of format(x, ".17g"); one write per entity.
-        for code, *rows in zip(panel.entities, *series):
+        for code, *rows in zip(counts.entities, *series):
             cell = io.StringIO()
             csv.writer(cell, lineterminator="").writerow([code, ""])
             head = cell.getvalue()
@@ -230,11 +230,11 @@ def _cmd_covid(args) -> int:
             ))
 
     print(
-        f"plain rank-{rep.rank}: {rep.plain_parameters} parameters, "
+        f"plain rank-{args.rank}: {rep.plain_parameters} parameters, "
         f"rel error {rep.plain_rel_error:.4f}"
     )
     print(
-        f"stacked g={rep.groups} rank-{rep.rank}: {rep.stacked_parameters} parameters, "
+        f"stacked g={args.groups} rank-{args.rank}: {rep.stacked_parameters} parameters, "
         f"rel error {rep.stacked_rel_error:.4f}"
     )
     return 0

@@ -36,7 +36,6 @@ __all__ = [
     "US_STATE_CODES",
     "SMOOTH_WINDOW",
     "CountPanel",
-    "SeriesPanel",
     "CovidReport",
     "load_state_counts",
     "positivity_and_smooth",
@@ -114,28 +113,6 @@ class CountPanel:
                 f"count arrays must be {want}, got {self.positives.shape} "
                 f"and {self.tests.shape}"
             )
-
-
-@dataclass(frozen=True)
-class SeriesPanel:
-    """One smoothed series per entity: ``matrix`` is entities x days.
-    ``start`` is the date of column 0, or None for synthetic panels."""
-
-    entities: tuple[str, ...]
-    start: dt.date | None
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix, "panel matrix")
-        if m.shape[0] != len(self.entities):
-            raise ValueError(
-                f"{len(self.entities)} entities but {m.shape[0]} matrix rows"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def days(self) -> int:
-        return self.matrix.shape[1]
 
 
 def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPanel:
@@ -257,8 +234,10 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
 
 def positivity_and_smooth(
     counts: CountPanel, rate_mode: str = "cumulative", normalize: bool = True
-) -> SeriesPanel:
-    """Turn counts into smoothed positivity series.
+) -> np.ndarray:
+    """Turn counts into smoothed positivity series: an entities x days
+    matrix whose rows follow ``counts.entities`` and whose column 0 falls
+    on ``counts.start``.
 
     ``rate_mode='cumulative'`` divides the cumulative counts directly;
     ``'daily'`` divides day-over-day increments (the test increment must be
@@ -302,15 +281,15 @@ def positivity_and_smooth(
             raise DataError(f"cannot normalize rows with non-positive peak: {names}")
         smoothed = smoothed / peaks[:, None]
 
-    return SeriesPanel(entities=counts.entities, start=counts.start, matrix=smoothed)
+    return smoothed
 
 
 def piecewise_linear_panel(
     entities: int = 50, days: int = 150, regimes: int = 3, seed: int = 20200517
-) -> SeriesPanel:
-    """Synthetic stand-in for a smoothed panel: every row is piecewise
-    linear over ``regimes`` equal spans, ramping between levels drawn
-    uniformly from [0.2, 0.8].
+) -> np.ndarray:
+    """Synthetic stand-in for a smoothed panel, as an entities x days
+    matrix: every row is piecewise linear over ``regimes`` equal spans,
+    ramping between levels drawn uniformly from [0.2, 0.8].
 
     All rows share the same time grid, so splitting the columns at the
     regime boundaries and stacking the groups leaves a matrix whose rows
@@ -330,8 +309,7 @@ def piecewise_linear_panel(
         left = levels[:, r : r + 1]
         right = levels[:, r + 1 : r + 2]
         matrix[:, r * width : (r + 1) * width] = left + (right - left) * ramp
-    names = tuple(f"s{i:02d}" for i in range(entities))
-    return SeriesPanel(entities=names, start=None, matrix=matrix)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -340,8 +318,6 @@ class CovidReport:
     Reconstructions are entity x day panels; the stacked one is mapped back
     from the stacked layout."""
 
-    groups: int
-    rank: int
     plain_rel_error: float
     stacked_rel_error: float
     plain_parameters: int
@@ -350,13 +326,14 @@ class CovidReport:
     stacked_recon: np.ndarray
 
 
-def covid_experiment(panel: SeriesPanel, groups: int, rank: int) -> CovidReport:
-    """Approximate the panel at the given rank twice, plain and after
-    column-group stacking, at matched rank.  ``groups`` must be a positive
-    integer that divides the day count, and ``rank`` an integer from 1 to
-    the smaller side of both layouts; with ``groups=1`` the two routes are
-    identical by construction."""
-    m = panel.matrix
+def covid_experiment(panel, groups: int, rank: int) -> CovidReport:
+    """Approximate the finite real entities x days matrix ``panel`` at the
+    given rank twice, plain and after column-group stacking, at matched
+    rank.  ``groups`` must be a positive integer that divides the day
+    count, and ``rank`` an integer from 1 to the smaller side of both
+    layouts; with ``groups=1`` the two routes are identical by
+    construction."""
+    m = as_matrix(panel, "panel")
     g = _count(groups, "groups")
     stacked = stack_column_groups(m, g)
     k = _count(rank, "rank", 1, min(min(m.shape), min(stacked.shape)))
@@ -367,8 +344,6 @@ def covid_experiment(panel: SeriesPanel, groups: int, rank: int) -> CovidReport:
     stacked_rep = approx_report(stacked, k, approx=stacked_recon)
 
     return CovidReport(
-        groups=g,
-        rank=k,
         plain_rel_error=plain_rep.rel_error,
         stacked_rel_error=stacked_rep.rel_error,
         plain_parameters=plain_rep.parameters,

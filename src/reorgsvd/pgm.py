@@ -16,7 +16,6 @@ raster or sample list is ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "PgmError",
     "PgmFormatError",
     "PgmParseError",
-    "GrayImage",
     "load_gray_image",
     "write_gray_image",
 ]
@@ -59,30 +57,6 @@ class PgmFormatError(PgmError):
 class PgmParseError(PgmError):
     """The file claims to be a supported graymap but its content is
     malformed or truncated."""
-
-
-@dataclass(frozen=True)
-class GrayImage:
-    """A grayscale image as a rows x cols float matrix with entries in [0, 1]."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix, "image matrix")
-        if float(m.min()) < 0.0 or float(m.max()) > 1.0:
-            raise ValueError("image entries must lie in [0, 1]")
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_raw(cls, matrix) -> "GrayImage":
-        """Wrap an arbitrary real matrix as an image, clamping entries into
-        [0, 1].  Clamping, not wrapping: 1.3 becomes 1.0, -0.2 becomes 0.0."""
-        m = as_matrix(matrix, "image matrix")
-        return cls(matrix=np.clip(m, 0.0, 1.0))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def _uints(data: bytes, pos: int, what: str, low: int, high: int):
@@ -119,8 +93,9 @@ def _uints(data: bytes, pos: int, what: str, low: int, high: int):
     raise PgmParseError(f"missing {what.format(i)}", len(data))
 
 
-def load_gray_image(path) -> GrayImage:
-    """Read a P2 or P5 graymap into a :class:`GrayImage`."""
+def load_gray_image(path) -> np.ndarray:
+    """Read a P2 or P5 graymap into a rows x cols float matrix with
+    entries in [0, 1]."""
     data = Path(path).read_bytes()
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
@@ -162,15 +137,14 @@ def load_gray_image(path) -> GrayImage:
             )
         samples = _uints(data, end, "sample {} value", 0, maxval)
         values = np.fromiter((value for value, _ in samples), np.float64, count=count)
-    matrix = values.reshape(height, width) / float(maxval)
-    return GrayImage(matrix=matrix)
+    return values.reshape(height, width) / float(maxval)
 
 
-def write_gray_image(img: GrayImage, path) -> None:
-    """Write as binary P5 with maxval 255.  Entries are clamped to [0, 1]
-    (a no-op for a valid :class:`GrayImage`) and quantized by rounding
-    halves away from zero."""
-    m = np.clip(img.matrix, 0.0, 1.0)
+def write_gray_image(m, path) -> None:
+    """Write the finite real matrix ``m`` as binary P5 with maxval 255.
+    Entries are clamped to [0, 1], not wrapped (1.3 becomes 1.0, -0.2
+    becomes 0.0), and quantized by rounding halves away from zero."""
+    m = np.clip(as_matrix(m, "image matrix"), 0.0, 1.0)
     quantized = np.floor(m * 255.0 + 0.5).astype(np.uint8)
     rows, cols = quantized.shape
     header = f"P5\n{cols} {rows}\n255\n".encode("ascii")

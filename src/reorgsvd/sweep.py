@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _count, _denominator, parameter_count, thin_svd
-from .pgm import GrayImage
+from .core import _count, _denominator, as_matrix, parameter_count, thin_svd
 from .reshape import tile_to_columns
 
 __all__ = [
@@ -81,12 +80,13 @@ def _rank_for_target(sigma: np.ndarray, target: float) -> tuple[int, float]:
 
 
 def tile_sweep(
-    img: GrayImage,
+    image,
     image_name: str,
     tile_sizes: list[int],
     targets: list[float],
 ) -> list[SweepRecord]:
-    """All (method, target) records for one image.
+    """All (method, target) records for the finite real matrix ``image``,
+    whose records carry ``image_name``.
 
     ``tile_sizes`` are square tile edges; each is swept independently with
     its own center crop.  Records appear grouped by target, plain method
@@ -100,11 +100,12 @@ def tile_sweep(
         if not 0.0 < t < 1.0:
             raise ValueError(f"target must be in (0, 1), got {t}")
 
+    m = as_matrix(image, "image")
     # (tile edge, or None for the plain method; SVD shape; singular values)
-    layouts = [(None, img.shape, thin_svd(img.matrix, rank=0).sigma)]
+    layouts = [(None, m.shape, thin_svd(m, rank=0).sigma)]
     for s in tile_sizes:
         edge = _count(s, "tile_sizes")
-        cropped = crop_to_tile_multiple(img.matrix, edge, edge)
+        cropped = crop_to_tile_multiple(m, edge, edge)
         x, scheme = tile_to_columns(cropped, edge, edge)
         layouts.append((edge, scheme.unfolded_shape, thin_svd(x, rank=0).sigma))
 

@@ -4,7 +4,7 @@ a session-scoped corpus of grayscale photographs rendered to 8-bit PGM."""
 import numpy as np
 import pytest
 
-from reorgsvd import GrayImage, write_gray_image
+from reorgsvd import write_gray_image
 
 # Rank-1 integer matrix whose 3x3-tile unfolding has full column rank; the
 # pair pins the tile layout and feeds the worked-example checks.
@@ -89,5 +89,5 @@ def photo_corpus_dir(tmp_path_factory):
 
     out = tmp_path_factory.mktemp("corpus")
     for name, matrix in sorted(corpus.items()):
-        write_gray_image(GrayImage.from_raw(matrix), out / f"{name}.pgm")
+        write_gray_image(matrix, out / f"{name}.pgm")
     return out

@@ -18,7 +18,6 @@ import reorgsvd.cli as cli
 import reorgsvd.core as core
 import reorgsvd.covid as covid
 from reorgsvd import (
-    GrayImage,
     TridiagParams,
     certify_rank1_gap,
     load_gray_image,
@@ -33,8 +32,8 @@ def image_dir(tmp_path):
     d.mkdir()
     tile = rng.uniform(0.3, 1.0, (4, 4))
     kron = np.kron(rng.uniform(0.2, 1.0, (8, 12)), tile)
-    write_gray_image(GrayImage.from_raw(kron / kron.max()), d / "kron.pgm")
-    write_gray_image(GrayImage.from_raw(rng.uniform(0, 1, (30, 20))), d / "noise.pgm")
+    write_gray_image(kron / kron.max(), d / "kron.pgm")
+    write_gray_image(rng.uniform(0, 1, (30, 20)), d / "noise.pgm")
     return d
 
 
@@ -165,7 +164,7 @@ def test_approx_data_errors_exit_1(image_dir, tmp_path, capsys):
 
 
 def test_approx_black_image_exits_1(tmp_path, capsys):
-    write_gray_image(GrayImage.from_raw(np.zeros((6, 5))), tmp_path / "black.pgm")
+    write_gray_image(np.zeros((6, 5)), tmp_path / "black.pgm")
     rc = cli.main(["approx", str(tmp_path / "black.pgm"), "--ranks", "1",
                    "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -295,7 +294,7 @@ def test_covid_series_bytes_are_the_csv_modules_with_17_digit_floats(tmp_path):
     for i, code in enumerate(codes):
         for d in range(6):
             day = (START + dt.timedelta(days=d)).isoformat()
-            values = (panel.matrix[i, d], rep.plain_recon[i, d], rep.stacked_recon[i, d])
+            values = (panel[i, d], rep.plain_recon[i, d], rep.stacked_recon[i, d])
             writer.writerow([code, day] + [format(float(x), ".17g") for x in values])
     written = (out / "covid_series.csv").read_bytes()
     assert written == buf.getvalue().encode("utf-8")

@@ -12,7 +12,6 @@ import reorgsvd.cli as cli
 import reorgsvd.core as core
 from reorgsvd import (
     DataError,
-    GrayImage,
     SvdConvergenceError,
     SvdFactorization,
     TridiagParams,
@@ -617,7 +616,7 @@ def test_count_arguments_share_one_rule(tmp_path):
     rng = np.random.default_rng(21)
     a = rng.normal(size=(6, 6))
     f = thin_svd(a)
-    img = GrayImage.from_raw(rng.uniform(size=(6, 6)))
+    img = rng.uniform(size=(6, 6))
     write_gray_image(img, tmp_path / "i.pgm")
     counts = write_counts(tmp_path / "c.csv", linear_counts(["CA"], 2))
     panel = piecewise_linear_panel(4, 6, 3)

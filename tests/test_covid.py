@@ -101,8 +101,8 @@ def test_constant_rate_panels_match_between_modes(tmp_path):
                         rate_mode="daily", normalize=False)
     # constant positivity: both modes recover the constant everywhere
     for i, rate in enumerate((0.1, 0.2, 0.3)):
-        assert np.allclose(cumulative.matrix[i], rate, atol=1e-12)
-        assert np.allclose(daily.matrix[i], rate, atol=1e-12)
+        assert np.allclose(cumulative[i], rate, atol=1e-12)
+        assert np.allclose(daily[i], rate, atol=1e-12)
 
 
 def test_trailing_average_window_is_seven_days_ending_on_the_day(tmp_path):
@@ -125,7 +125,7 @@ def test_trailing_average_window_is_seven_days_ending_on_the_day(tmp_path):
     # daily rate on warmup day j (j = 1..) is j/1000; output day d averages
     # rates d+1 .. d+7, i.e. mean(1..7) + d in units of 1e-3
     expect = np.array([np.arange(d + 1, d + 8).mean() for d in range(4)]) * 1e-3
-    assert np.allclose(panel.matrix[0], expect, atol=1e-12)
+    assert np.allclose(panel[0], expect, atol=1e-12)
 
 
 def test_zero_and_nonincreasing_test_counts_are_data_errors(tmp_path):
@@ -149,8 +149,8 @@ def test_normalization_scales_each_row_to_unit_peak(tmp_path):
     path = _write_counts(tmp_path / "c.csv", _linear_counts(["CA", "NY"], 5))
     raw = _timeseries(path, START, 5, states=["CA", "NY"], normalize=False)
     scaled = _timeseries(path, START, 5, states=["CA", "NY"])
-    assert np.allclose(scaled.matrix.max(axis=1), 1.0, atol=1e-15)
-    ratio = raw.matrix / scaled.matrix
+    assert np.allclose(scaled.max(axis=1), 1.0, atol=1e-15)
+    ratio = raw / scaled
     assert np.allclose(ratio, ratio[:, :1], atol=1e-12)
 
 
@@ -164,18 +164,17 @@ def test_rate_mode_is_validated(tmp_path):
 def test_synthetic_panel_is_deterministic_and_in_range():
     a = piecewise_linear_panel()
     b = piecewise_linear_panel()
-    assert np.array_equal(a.matrix, b.matrix)
-    assert a.matrix.shape == (50, 150)
-    assert a.entities[0] == "s00" and len(a.entities) == 50
-    assert a.matrix.min() >= 0.2 and a.matrix.max() <= 0.8
+    assert np.array_equal(a, b)
+    assert a.shape == (50, 150)
+    assert a.min() >= 0.2 and a.max() <= 0.8
     c = piecewise_linear_panel(seed=7)
-    assert not np.array_equal(a.matrix, c.matrix)
+    assert not np.array_equal(a, c)
 
 
 def test_synthetic_panel_rows_are_affine_within_regimes():
     panel = piecewise_linear_panel(entities=4, days=30, regimes=3, seed=5)
     for r in range(3):
-        block = panel.matrix[:, r * 10 : (r + 1) * 10]
+        block = panel[:, r * 10 : (r + 1) * 10]
         second_diff = np.diff(block, n=2, axis=1)
         assert np.abs(second_diff).max() < 1e-12
 
@@ -190,18 +189,17 @@ def test_synthetic_panel_validates_arguments():
 def test_experiment_reports_consistent_numbers():
     panel = piecewise_linear_panel(entities=10, days=30, regimes=3, seed=11)
     rep = covid_experiment(panel, 3, 2)
-    assert rep.groups == 3 and rep.rank == 2
     assert rep.plain_parameters == 2 * (10 + 30)
     assert rep.stacked_parameters == 2 * (30 + 10)
     assert rep.plain_recon.shape == (10, 30)
     assert rep.stacked_recon.shape == (10, 30)
     # the stacked error can be measured in either layout; entry movement
     # does not change Frobenius distances
-    stacked = stack_column_groups(panel.matrix, 3)
-    err_direct = relative_error(panel.matrix, rep.stacked_recon)
+    stacked = stack_column_groups(panel, 3)
+    err_direct = relative_error(panel, rep.stacked_recon)
     assert err_direct == pytest.approx(rep.stacked_rel_error, rel=1e-9, abs=1e-12)
     assert rep.plain_rel_error == pytest.approx(
-        relative_error(panel.matrix, rep.plain_recon), rel=1e-12
+        relative_error(panel, rep.plain_recon), rel=1e-12
     )
     assert stacked.shape == (30, 10)
 
@@ -221,6 +219,17 @@ def test_experiment_validates_arguments():
         covid_experiment(panel, 2, 0)
     with pytest.raises(ValueError):
         covid_experiment(panel, 2, 100)
+
+
+def test_experiment_takes_a_nested_list_and_rejects_non_finite_entries():
+    panel = piecewise_linear_panel(entities=4, days=6, regimes=2, seed=4)
+    rows = panel.tolist()
+    got, want = covid_experiment(rows, 2, 1), covid_experiment(panel, 2, 1)
+    assert got.stacked_rel_error == want.stacked_rel_error
+    assert np.array_equal(got.stacked_recon, want.stacked_recon)
+    rows[2][3] = np.inf
+    with pytest.raises(ValueError, match="^panel contains non-finite entries$"):
+        covid_experiment(rows, 2, 1)
 
 
 def test_loader_accepts_iso_and_compact_dates_in_one_file(tmp_path):

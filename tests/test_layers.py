@@ -1,5 +1,6 @@
 """Each layer module's ``__all__`` lists only what the module defines,
-and every top-level definition has a use.
+every top-level definition has a use, and the modules import one another
+as one table says.
 
 The traced benchmark wraps the functions named in these lists, under every
 name the package binds them to: a stale name makes it fail, and a function
@@ -18,6 +19,22 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "reorgsvd").glob("*.py"))
 
 LAYERS = ("cli", "core", "reshape", "sweep", "tridiag", "pgm", "covid", "report")
+
+# The package modules each module imports.  Layers pass plain matrices to
+# one another: ``core`` imports nothing from the package, and the file
+# formats (``pgm``, ``report``) are read and written only at the edges,
+# by ``cli`` and ``__init__``.
+IMPORTS = {
+    "__init__": {"core", "covid", "pgm", "reshape", "sweep", "tridiag"},
+    "cli": {"core", "covid", "pgm", "report", "reshape", "sweep", "tridiag"},
+    "core": set(),
+    "covid": {"core", "reshape"},
+    "pgm": {"core"},
+    "report": set(),
+    "reshape": {"core"},
+    "sweep": {"core", "reshape"},
+    "tridiag": {"core", "reshape"},
+}
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -60,3 +77,32 @@ def test_every_top_level_definition_is_used():
         and node.name not in used
     ]
     assert unused == []
+
+
+def _package_imports(tree) -> set[str]:
+    """The package modules that ``tree`` imports, at any depth, by a
+    relative or an absolute import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif (node.module or "").startswith("reorgsvd"):
+                module = node.module.partition(".")[2] or None
+            else:
+                continue
+            if module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(module.partition(".")[0])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "reorgsvd" and rest:
+                    found.add(rest.partition(".")[0])
+    return found
+
+
+def test_modules_import_one_another_as_the_table_says():
+    graph = {path.stem: _package_imports(ast.parse(path.read_text())) for path in SOURCES}
+    assert graph == IMPORTS

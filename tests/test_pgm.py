@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reorgsvd import GrayImage, PgmError, load_gray_image, write_gray_image
+from reorgsvd import PgmError, load_gray_image, write_gray_image
 from reorgsvd.pgm import PgmFormatError, PgmParseError
 
 
@@ -19,72 +19,69 @@ def _write(tmp_path, payload: bytes, name="t.pgm"):
 def test_write_then_load_is_exact_on_the_8bit_grid(tmp_path):
     rng = np.random.default_rng(31)
     m = rng.integers(0, 256, size=(9, 13)).astype(np.float64) / 255.0
-    img = GrayImage(matrix=m)
-    write_gray_image(img, tmp_path / "a.pgm")
+    write_gray_image(m, tmp_path / "a.pgm")
     back = load_gray_image(tmp_path / "a.pgm")
-    assert np.array_equal(back.matrix, m)
+    assert np.array_equal(back, m)
 
 
 def test_roundtrip_error_bounded_by_half_step(tmp_path):
     rng = np.random.default_rng(32)
     m = rng.uniform(0.0, 1.0, size=(16, 11))
-    write_gray_image(GrayImage(matrix=m), tmp_path / "a.pgm")
+    write_gray_image(m, tmp_path / "a.pgm")
     back = load_gray_image(tmp_path / "a.pgm")
-    assert np.abs(back.matrix - m).max() <= 1.0 / 510.0 + 1e-15
+    assert np.abs(back - m).max() <= 1.0 / 510.0 + 1e-15
 
 
 def test_quantization_rounds_halves_away_from_zero(tmp_path):
     # 0.5/255 sits exactly halfway between samples 0 and 1 and must go up
     m = np.array([[0.0, 0.5 / 255.0, 127.5 / 255.0, 1.0]])
-    write_gray_image(GrayImage(matrix=m), tmp_path / "a.pgm")
+    write_gray_image(m, tmp_path / "a.pgm")
     raw = (tmp_path / "a.pgm").read_bytes()
     assert raw.endswith(bytes([0, 1, 128, 255]))
 
 
-def test_from_raw_clamps_instead_of_wrapping(tmp_path):
-    img = GrayImage.from_raw([[-0.5, 0.25], [1.5, 2.0]])
-    assert np.array_equal(img.matrix, [[0.0, 0.25], [1.0, 1.0]])
-    write_gray_image(img, tmp_path / "a.pgm")
+def test_writer_clamps_instead_of_wrapping(tmp_path):
+    write_gray_image([[-0.5, 0.25], [1.5, 2.0]], tmp_path / "a.pgm")
     raw = (tmp_path / "a.pgm").read_bytes()
-    assert raw.endswith(bytes([0, 64, 255, 255]))
+    assert raw == b"P5\n2 2\n255\n" + bytes([0, 64, 255, 255])
 
 
-def test_gray_image_validation():
-    with pytest.raises(ValueError):
-        GrayImage(matrix=np.array([[1.5]]))
-    with pytest.raises(ValueError):
-        GrayImage(matrix=np.array([[-0.1]]))
-    with pytest.raises(ValueError):
-        GrayImage(matrix=np.array([[np.nan]]))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writer_rejects_non_finite_entries_and_writes_nothing(tmp_path, bad):
+    path = tmp_path / "a.pgm"
+    with pytest.raises(ValueError, match="^image matrix contains non-finite entries$"):
+        write_gray_image(np.array([[0.5, bad]]), path)
+    assert not path.exists()
 
 
 def test_ascii_parse_with_comments_and_whitespace(tmp_path):
     payload = b"P2 #magic\n # a comment line\n3\t2 #dims\n10\n0 1 2\n3 4 10 # tail\n"
     img = load_gray_image(_write(tmp_path, payload))
-    assert np.array_equal(img.matrix, np.array([[0.0, 0.1, 0.2], [0.3, 0.4, 1.0]]))
+    assert np.array_equal(img, np.array([[0.0, 0.1, 0.2], [0.3, 0.4, 1.0]]))
 
 
 def test_binary_8bit_raster(tmp_path):
     payload = b"P5\n2 2\n255\n" + bytes([0, 51, 102, 255])
     img = load_gray_image(_write(tmp_path, payload))
-    assert np.allclose(img.matrix, np.array([[0, 51], [102, 255]]) / 255.0)
+    assert np.allclose(img, np.array([[0, 51], [102, 255]]) / 255.0)
 
 
 def test_binary_16bit_big_endian(tmp_path):
     samples = np.array([[0, 16384], [32768, 65535]], dtype=">u2")
     payload = b"P5\n2 2\n65535\n" + samples.tobytes()
     img = load_gray_image(_write(tmp_path, payload))
-    assert np.array_equal(img.matrix, samples.astype(np.float64) / 65535.0)
+    assert np.array_equal(img, samples.astype(np.float64) / 65535.0)
+    assert img.dtype == np.float64 and img.flags.c_contiguous
 
 
 def test_intermediate_maxval_scales(tmp_path):
     payload = b"P2\n2 1\n1000\n0 1000\n"
     img = load_gray_image(_write(tmp_path, payload))
-    assert np.array_equal(img.matrix, np.array([[0.0, 1.0]]))
+    assert np.array_equal(img, np.array([[0.0, 1.0]]))
     # 16-bit binary raster because maxval exceeds 255
     payload = b"P5\n2 1\n1000\n" + np.array([500, 1000], dtype=">u2").tobytes()
     img = load_gray_image(_write(tmp_path, payload))
-    assert np.array_equal(img.matrix, np.array([[0.5, 1.0]]))
+    assert np.array_equal(img, np.array([[0.5, 1.0]]))
 
 
 def test_unsupported_magic_reports_offset_zero(tmp_path):
@@ -154,7 +151,7 @@ def test_over_long_tokens_are_out_of_range_at_their_first_byte(tmp_path):
     # Leading zeros do not count: a 5000-character 255 still loads.
     padded = b"0" * 4997 + b"255"
     img = load_gray_image(_write(tmp_path, b"P2 2 1 255 " + padded + b" 0"))
-    assert img.matrix.tolist() == [[1.0, 0.0]]
+    assert img.tolist() == [[1.0, 0.0]]
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -171,7 +168,7 @@ def test_pgm_errors_are_value_errors():
 def test_ascii_raster_too_short_for_its_header_fails_before_parsing(tmp_path):
     # The tightest raster that can hold 3 samples: a separator and a digit each.
     img = load_gray_image(_write(tmp_path, b"P2 3 1 9 1 2 3"))
-    assert np.allclose(img.matrix, [[1 / 9, 2 / 9, 3 / 9]])
+    assert np.allclose(img, [[1 / 9, 2 / 9, 3 / 9]])
     payload = b"P2 3 1 9 1 2"
     with pytest.raises(PgmParseError) as err:
         load_gray_image(_write(tmp_path, payload))
@@ -264,7 +261,7 @@ def test_p2_rasters_with_any_separators_load_exactly(tmp_path):
         data, _ = _join(header, tokens, gaps)
         img = load_gray_image(_write(tmp_path, data + tail))
         want = np.array(samples, dtype=np.float64).reshape(height, width) / maxval
-        assert np.array_equal(img.matrix, want)
+        assert np.array_equal(img, want)
 
     check()
 

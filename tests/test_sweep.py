@@ -7,12 +7,8 @@ import pytest
 
 import reorgsvd.core as core
 import reorgsvd.sweep as sweep
-from reorgsvd import GrayImage, relative_error, tile_sweep
+from reorgsvd import relative_error, tile_sweep
 from reorgsvd.sweep import crop_to_tile_multiple
-
-
-def _image_from(matrix):
-    return GrayImage.from_raw(np.asarray(matrix, dtype=np.float64))
 
 
 def test_crop_keeps_exact_multiples_untouched():
@@ -120,7 +116,7 @@ def test_zero_matrix_rule_has_one_owner(monkeypatch):
 
 
 def test_min_rank_validates_inputs():
-    img = _image_from(np.eye(3) * 0.5)
+    img = np.eye(3) * 0.5
     for bad in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(ValueError, match=r"target must be in \(0, 1\)"):
             tile_sweep(img, "x", [1], [0.5, bad])
@@ -130,7 +126,7 @@ def test_min_rank_validates_inputs():
 
 def test_sweep_emits_complete_records_even_for_noise():
     rng = np.random.default_rng(43)
-    img = _image_from(rng.uniform(0, 1, (24, 24)))
+    img = rng.uniform(0, 1, (24, 24))
     records = tile_sweep(img, "noise.pgm", [4, 6], [0.1, 0.4])
     assert len(records) == 2 * 3
     for target in (0.1, 0.4):
@@ -146,7 +142,7 @@ def test_sweep_emits_complete_records_even_for_noise():
 def test_sweep_winner_has_minimal_parameters():
     rng = np.random.default_rng(44)
     tile = rng.uniform(0.2, 1.0, (4, 4))
-    img = _image_from(np.kron(rng.uniform(0.2, 1.0, (6, 6)), tile) / 4.0)
+    img = np.kron(rng.uniform(0.2, 1.0, (6, 6)), tile) / 4.0
     records = tile_sweep(img, "kron.pgm", [4, 3], [0.05])
     best = min(r.parameters for r in records)
     winners = [r for r in records if r.winner]
@@ -161,7 +157,7 @@ def test_sweep_winner_has_minimal_parameters():
 def test_sweep_tie_goes_to_plain():
     # constant image: every method reaches the target at rank 1, and a
     # square tiling of a square image has the same parameter count as plain
-    img = _image_from(np.full((16, 16), 0.5))
+    img = np.full((16, 16), 0.5)
     records = tile_sweep(img, "flat.pgm", [4], [0.2])
     plain, tiled = records
     assert plain.method == "plain" and tiled.method == "tiled"
@@ -170,10 +166,18 @@ def test_sweep_tie_goes_to_plain():
 
 
 def test_sweep_validates_arguments():
-    img = _image_from(np.ones((8, 8)) * 0.3)
+    img = np.ones((8, 8)) * 0.3
     with pytest.raises(ValueError):
         tile_sweep(img, "x", [], [0.1])
     with pytest.raises(ValueError):
         tile_sweep(img, "x", [2], [])
     with pytest.raises(ValueError):
         tile_sweep(img, "x", [2], [1.2])
+
+
+def test_sweep_takes_a_nested_list_and_rejects_non_finite_entries():
+    rows = [[0.1, 0.9, 0.4, 0.3], [0.8, 0.2, 0.6, 0.5], [0.7, 0.3, 0.1, 0.9], [0.2, 0.6, 0.5, 0.4]]
+    assert tile_sweep(rows, "list", [2], [0.3]) == tile_sweep(np.array(rows), "list", [2], [0.3])
+    rows[1][2] = math.nan
+    with pytest.raises(ValueError, match="^image contains non-finite entries$"):
+        tile_sweep(rows, "nan", [2], [0.3])
