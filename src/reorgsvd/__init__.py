@@ -1,11 +1,12 @@
 """Low-rank matrix approximation with entry reorganization.
 
-Reorganizing a matrix before truncating its SVD (tiling into columns,
-stacking column groups, gathering wrap-around diagonals) costs nothing in
+Reorganizing a matrix before truncating its SVD costs nothing in
 information but can buy a much better approximation per stored parameter.
-This package provides the reorganizations, a self-contained thin SVD, the
-closed-form tridiagonal-inverse family with its rank-1 certificates, and
-the image and time-series experiment harnesses built on top.
+The reorganizations form two families: tiles (p x q image tiles; column
+groups stacked, the transposed 1 x w tiling; the plain matrix, one 1 x cols
+tile) and the wrap-around diagonals of a square matrix.  The package holds
+them, a self-contained thin SVD, the closed-form tridiagonal-inverse family
+with its rank-1 certificates, and the image and time-series harnesses.
 """
 
 from .core import (

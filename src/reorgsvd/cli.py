@@ -4,8 +4,9 @@ Four subcommands: ``approx`` (rank-k image approximation, plain or tiled),
 ``sweep`` (parameter-budget comparison over a directory of graymaps),
 ``covid`` (column-group stacking on a positivity panel) and
 ``verify-theorem`` (closed-form certificates for the tridiagonal-inverse
-family).  Exit codes: 0 success, 1 bad data or I/O, 2 usage, 3 certificate
-violation.
+family).  Plain, tiled and stacked are all tile layouts (1 x cols, p x q
+and 1 x w transposed); the certificates use wrap-around diagonals.  Exit
+codes: 0 success, 1 bad data or I/O, 2 usage, 3 certificate violation.
 
 ``sweep`` fans out across worker processes when the RESHAPE_THREADS
 environment variable is an integer above 1, with at most one process per

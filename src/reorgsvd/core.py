@@ -368,10 +368,11 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     either, and both QR factorizations return R only.  The short side is
     ``A.T @ u_k`` (``A @ v_k`` for a wide input), made orthonormal by one
     QR whose column signs follow the signs of the R diagonal (a zero
-    counts as positive).  It is orthonormal to about 1e-15 and inherits
-    the Jacobi stopping tolerance: at full rank the reconstruction is
-    within 1e-12 * ||A||_F of ``a`` (median 3.2e-13, maximum 8.2e-13
-    relative, on 2,000 seeded Gaussians with sides 2 to 40), and at rank
+    counts as positive).  It is orthonormal to about 1e-15, but the 1e-12
+    pair tolerance adds up over the columns: at full rank the reconstruction
+    error relative to ||A||_F grows with the size, to 8.2e-13 on sides 2 to
+    40 (2,000 seeded Gaussians), 1.1e-12 at 100 x 100, 1.6e-12 at 200 x 200
+    and 2.2e-12 at 400 x 400 (three seeded Gaussians each), and at rank
     k within 1e-12 * ||A||_F * max(1, sigma_1 / gap) of LAPACK's rank-k
     truncation, where gap = sigma_k - sigma_{k+1}.
     """

@@ -218,13 +218,12 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
     shape = (len(codes), ncols)
     positives = np.array(positives).reshape(shape)
     tests = np.array(tests).reshape(shape)
-    gaps = []
-    holes = np.isnan(positives) | np.isnan(tests)
-    for i, j in zip(*np.nonzero(holes)):
-        gaps.append(f"{codes[i]} {dates[j].isoformat()}")
-    if gaps:
-        shown = ", ".join(gaps[:10])
-        more = "" if len(gaps) <= 10 else f" and {len(gaps) - 10} more"
+    holes = np.flatnonzero(np.isnan(positives) | np.isnan(tests))
+    if holes.size:
+        shown = ", ".join(
+            f"{codes[cell // ncols]} {dates[cell % ncols].isoformat()}" for cell in holes[:10]
+        )
+        more = "" if holes.size <= 10 else f" and {holes.size - 10} more"
         raise DataError(f"missing counts for {shown}{more}")
 
     return CountPanel(

@@ -1,11 +1,11 @@
 """Entry-preserving reorganizations of a dense matrix.
 
-Three layouts are provided, each with its exact inverse:
+Two layout families are provided, each with its exact inverse:
 
-* tile-to-columns: cut the matrix into a grid of p x q tiles and make each
-  tile one column of the output;
-* column-group stacking: split the columns into g contiguous groups and
-  stack the groups vertically;
+* tiles: cut the matrix into a grid of p x q tiles and make each tile one
+  column of the output.  Stacking g contiguous column groups vertically is
+  the 1 x (cols / g) tiling transposed, and the plain matrix is the
+  1 x cols tile, whose unfolding is its transpose;
 * wrap-around diagonals: for square input, make each cyclic diagonal one
   column of the output.
 
@@ -101,15 +101,14 @@ def columns_to_tiles(x, scheme: TileScheme) -> np.ndarray:
 def stack_column_groups(a, groups: int) -> np.ndarray:
     """Split the columns into ``groups`` contiguous blocks and stack them
     vertically; group i lands in output rows i*rows .. (i+1)*rows.
-    ``groups`` must be a positive integer that divides the column count."""
+    ``groups`` must be a positive integer that divides the column count.
+    The stack is the unfolding of 1 x (cols / groups) tiles, transposed."""
     m = as_matrix(a)
-    rows, cols = m.shape
+    cols = m.shape[1]
     g = _count(groups, "groups")
     if cols % g:
         raise ValueError(f"{g} groups do not divide {cols} columns")
-    w = cols // g
-    out = m.reshape(rows, g, w).transpose(1, 0, 2).reshape(g * rows, w)
-    return np.ascontiguousarray(out)
+    return np.ascontiguousarray(tile_to_columns(m, 1, cols // g)[0].T)
 
 
 def unstack_column_groups(b, groups: int) -> np.ndarray:
@@ -119,9 +118,7 @@ def unstack_column_groups(b, groups: int) -> np.ndarray:
     g = _count(groups, "groups")
     if srows % g:
         raise ValueError(f"{g} groups do not divide {srows} stacked rows")
-    rows = srows // g
-    out = m.reshape(g, rows, w).transpose(1, 0, 2).reshape(rows, g * w)
-    return np.ascontiguousarray(out)
+    return columns_to_tiles(m.T, TileScheme(1, w, srows // g, g))
 
 
 def diag_to_columns(a) -> np.ndarray:

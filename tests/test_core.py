@@ -195,6 +195,17 @@ def test_thin_svd_reconstructs_diagonal_layouts_at_full_rank(n):
     assert err <= 5e-15 * np.linalg.norm(x)
 
 
+def test_thin_svd_reconstruction_error_at_200_by_200():
+    # The 1e-12 pair tolerance adds up over the columns: this Gaussian, the
+    # first 200 x 200 draw of README's accuracy table, comes back within
+    # 1.50e-12 * ||A||_F, past the 1e-12 that holds on small sides.  A
+    # stopping tolerance that shrinks the error should tighten the bound.
+    a = np.random.default_rng(1).normal(size=(200, 200))
+    f = thin_svd(a)
+    err = np.linalg.norm((f.u * f.sigma) @ f.v.T - a)
+    assert err <= 1.6e-12 * np.linalg.norm(a)
+
+
 def test_thin_svd_memory_stays_linear_in_the_long_side():
     # A rank-1 16 x 2400 input has 15 columns past the rank cut; nothing the
     # factorization builds may grow with the square of the long side

@@ -5,6 +5,7 @@ import csv
 import datetime as dt
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,34 @@ def test_short_rows_leave_gaps_and_extra_columns_are_ignored(tmp_path):
                              states=["CA"])
     assert np.array_equal(wide.positives, plain.positives)
     assert np.array_equal(wide.tests, plain.tests)
+
+
+def test_gap_report_formats_only_the_cells_it_names(tmp_path):
+    # One row over a 20,007-day window of ten states leaves 200,069 holes.
+    # The count lists and arrays take about 32 bytes a cell; a report that
+    # formats a string for every hole takes about 70 more, and breaks the
+    # bound.
+    path = tmp_path / "near-empty.csv"
+    path.write_text("date,state,positive,totalTestResults\n2020-06-01,CA,1,2\n")
+    states = ["CA", "NY", "TX", "WA", "OR", "NV", "AZ", "UT", "ID", "MT"]
+    days = 20_000
+    cells = len(states) * (days + covid.SMOOTH_WINDOW)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError) as exc:
+            load_state_counts(path, "2020-06-01", days, states=states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The window opens 7 days before the start, and the start is the one
+    # filled day.
+    first = dt.date(2020, 5, 25)
+    shown = [first + dt.timedelta(days=i) for i in range(11) if i != 7]
+    assert str(exc.value) == (
+        "missing counts for " + ", ".join(f"CA {day.isoformat()}" for day in shown)
+        + f" and {cells - 11} more"
+    )
+    assert peak < 80 * cells
 
 
 def test_duplicate_rule_counts_rows_not_filled_cells(tmp_path):

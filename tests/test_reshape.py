@@ -221,7 +221,15 @@ def test_stack_round_trip_is_bitwise_on_divisor_shapes():
         b = stack_column_groups(a, g)
         assert b.shape == (g * rows, cols // g)
         _assert_permutes(b, a)
-        assert unstack_column_groups(b, g).tobytes() == a.tobytes()
+        back = unstack_column_groups(b, g)
+        assert back.tobytes() == a.tobytes()
+        # A stack is the unfolding of 1 x (cols / g) tiles, transposed, and
+        # the plain matrix is the 1 x cols tile.
+        x, scheme = tile_to_columns(a, 1, cols // g)
+        assert b.tobytes() == np.ascontiguousarray(x.T).tobytes()
+        assert back.tobytes() == columns_to_tiles(b.T, scheme).tobytes()
+        assert b.flags.c_contiguous and back.flags.c_contiguous
+        assert tile_to_columns(a, 1, cols)[0].tobytes() == np.ascontiguousarray(a.T).tobytes()
 
     check()
 
