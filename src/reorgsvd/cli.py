@@ -130,7 +130,11 @@ def _cmd_approx(args) -> int:
 
 def _sweep_worker(job: tuple[str, str, list[int], list[float]]):
     path, name, tile_sizes, targets = job
-    return tile_sweep(load_gray_image(path), name, tile_sizes, targets)
+    try:
+        return tile_sweep(load_gray_image(path), name, tile_sizes, targets)
+    except (ValueError, SvdConvergenceError) as exc:
+        # Name the image; a DataError also crosses a process boundary intact.
+        raise DataError(f"{name}: {exc}") from None
 
 
 def _worker_count(jobs: int) -> int:

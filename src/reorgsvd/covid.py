@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,17 +81,20 @@ def _coerce_date(value) -> dt.date:
     return _parse_date(str(value))
 
 
-def _window(start: dt.date, days: int) -> list[dt.date]:
-    """The count window's dates: ``SMOOTH_WINDOW`` days before ``start``, then
-    ``days`` days from it."""
+def _first_day(start: dt.date, days: int) -> dt.date:
+    """The count window's first day, ``SMOOTH_WINDOW`` days before ``start``;
+    window column c falls on that day plus c days."""
     if (start.toordinal() - SMOOTH_WINDOW < dt.date.min.toordinal()
             or start.toordinal() + days - 1 > dt.date.max.toordinal()):
         raise DataError(
             f"count window of {days} days from {start} (and the {SMOOTH_WINDOW} days "
             f"before it) falls outside the calendar years 1-9999"
         )
-    first = start - dt.timedelta(days=SMOOTH_WINDOW)
-    return [first + dt.timedelta(days=i) for i in range(days + SMOOTH_WINDOW)]
+    return start - dt.timedelta(days=SMOOTH_WINDOW)
+
+
+def _day(first: dt.date, col: int) -> str:
+    return (first + dt.timedelta(days=col)).isoformat()
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,8 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
     window.  Every (state, day) cell in the window must be present exactly
     once with both counts filled in; gaps and duplicates are data errors,
     and so is a count that is not a finite number >= 0.  A row with empty
-    counts still takes its cell."""
+    counts still takes its cell.  Only the cells that rows take are held,
+    so memory grows with the rows read, not with ``days`` x states."""
     try:
         days = _count(days, "days")
     except ValueError as exc:
@@ -131,18 +136,15 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
         raise DataError("need at least one state code")
     if len(set(codes)) != len(codes):
         raise DataError("duplicate state codes requested")
-    dates = _window(start, days)
-    ncols = len(dates)
-    window = {day: i for i, day in enumerate(dates)}
+    first = _first_day(start, days)
+    ncols = days + SMOOTH_WINDOW
+    size = len(codes) * ncols
     row_of = {code: i for i, code in enumerate(codes)}
 
-    # Cells in row-major order, cell i * ncols + col for state i on window
-    # day col: the counts, nan until a row fills them, and whether a row
-    # has taken the cell so far, filled or not.
-    size = len(codes) * ncols
-    positives = [math.nan] * size
-    tests = [math.nan] * size
-    seen = bytearray(size)
+    # The cells rows have taken, i * ncols + col for state i on window day
+    # col: its counts packed in one complex, positive + totalTestResults * 1j,
+    # or None when the row left a count empty.
+    cells: dict[int, complex | None] = {}
 
     # The file repeats each date once per state, so each distinct raw date
     # text is parsed once and mapped to its window column (None outside),
@@ -162,10 +164,7 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
             # A repeated column name reads from its last occurrence.
             index = {name: j for j, name in enumerate(header)}
             i_date, i_state, i_pos, i_tests = (index[c] for c in _REQUIRED_COLUMNS)
-            count_columns = (
-                (i_pos, "positive", positives),
-                (i_tests, "totalTestResults", tests),
-            )
+            count_columns = ((i_pos, "positive"), (i_tests, "totalTestResults"))
             width = max(i_date, i_state, i_pos, i_tests) + 1
             for row in reader:
                 if len(row) < width:
@@ -186,17 +185,18 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
                 # Parsed only on a requested state's row, so an unparseable date
                 # elsewhere is no error.
                 if col == -1:
-                    col = col_of[text] = window.get(_parse_date(text))
+                    col = (_parse_date(text) - first).days
+                    col = col_of[text] = col if 0 <= col < ncols else None
                     if col is None:
                         continue
                 cell = i * ncols + col
-                if seen[cell]:
+                if cell in cells:
                     raise DataError(
-                        f"duplicate row for state {codes[i]} on {dates[col].isoformat()} "
+                        f"duplicate row for state {codes[i]} on {_day(first, col)} "
                         f"(line {reader.line_num})"
                     )
-                seen[cell] = 1
-                for j, field, target in count_columns:
+                pair = []
+                for j, field in count_columns:
                     value = row[j].strip()
                     if not value:
                         continue
@@ -208,24 +208,23 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
                     if not 0.0 <= count < math.inf:
                         raise DataError(
                             f"bad {field} value {value!r} for state {codes[i]} on "
-                            f"{dates[col].isoformat()} (line {reader.line_num}); "
+                            f"{_day(first, col)} (line {reader.line_num}); "
                             f"a count must be a finite number >= 0"
                         )
-                    target[cell] = count
+                    pair.append(count)
+                cells[cell] = complex(*pair) if len(pair) == 2 else None
         except csv.Error as exc:
             raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
 
-    shape = (len(codes), ncols)
-    positives = np.array(positives).reshape(shape)
-    tests = np.array(tests).reshape(shape)
-    holes = np.flatnonzero(np.isnan(positives) | np.isnan(tests))
-    if holes.size:
-        shown = ", ".join(
-            f"{codes[cell // ncols]} {dates[cell % ncols].isoformat()}" for cell in holes[:10]
-        )
-        more = "" if holes.size <= 10 else f" and {holes.size - 10} more"
+    holes = size - sum(value is not None for value in cells.values())
+    if holes:
+        gaps = itertools.islice((c for c in range(size) if cells.get(c) is None), 10)
+        shown = ", ".join(f"{codes[cell // ncols]} {_day(first, cell % ncols)}" for cell in gaps)
+        more = "" if holes <= 10 else f" and {holes - 10} more"
         raise DataError(f"missing counts for {shown}{more}")
 
+    table = np.array([cells[cell] for cell in range(size)]).reshape(len(codes), ncols)
+    positives, tests = table.real.copy(), table.imag.copy()
     return CountPanel(
         entities=codes, start=start, days=days, positives=positives, tests=tests
     )
@@ -244,7 +243,7 @@ def positivity_and_smooth(
     the 7 daily rates ending on it.  With ``normalize`` every row is scaled
     by its own maximum, which must be positive."""
     pos, tst = counts.positives, counts.tests
-    dates = _window(counts.start, counts.days)
+    first = _first_day(counts.start, counts.days)
     if rate_mode == "cumulative":
         # Column 0 is only ever a subtrahend for daily increments; rates
         # start one column in.
@@ -252,8 +251,7 @@ def positivity_and_smooth(
         if (need == 0.0).any():
             i, j = map(int, next(zip(*np.nonzero(need == 0.0))))
             raise DataError(
-                f"zero cumulative tests for {counts.entities[i]} on "
-                f"{dates[j + 1].isoformat()}"
+                f"zero cumulative tests for {counts.entities[i]} on {_day(first, j + 1)}"
             )
         rates = pos[:, 1:] / need
     elif rate_mode == "daily":
@@ -263,7 +261,7 @@ def positivity_and_smooth(
             i, j = map(int, next(zip(*np.nonzero(dtst <= 0.0))))
             raise DataError(
                 f"non-increasing cumulative tests for {counts.entities[i]} on "
-                f"{dates[j + 1].isoformat()}"
+                f"{_day(first, j + 1)}"
             )
         rates = dpos / dtst
     else:

@@ -509,16 +509,29 @@ def test_covid_series_rejects_non_finite_values(tmp_path, monkeypatch, capsys):
 def test_parallel_sweep_reports_a_malformed_graymap_like_a_sequential_one(
     image_dir, tmp_path, monkeypatch, capsys
 ):
-    # The worker's PgmParseError must cross the process boundary intact.
-    (image_dir / "bad.pgm").write_bytes(b"P2\n2 2\n9\n0 1 2 x\n")
+    # The worker's error must cross the process boundary intact and name
+    # the image it came from.
     argv = ["sweep", str(image_dir), "--tile-sizes", "4", "--targets", "0.1",
             "--out", str(tmp_path / "o.csv")]
-    monkeypatch.delenv("RESHAPE_THREADS", raising=False)
-    assert cli.main(argv) == 1
-    sequential = capsys.readouterr().err
-    assert sequential == "error: sample 3 value is not an unsigned integer: b'x' (byte offset 15)\n"
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("RESHAPE_THREADS", "2")
-    assert cli._worker_count(3) == 2
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err == sequential
+
+    def stderr_of_both_runs():
+        monkeypatch.delenv("RESHAPE_THREADS", raising=False)
+        assert cli.main(argv) == 1
+        sequential = capsys.readouterr().err
+        monkeypatch.setenv("RESHAPE_THREADS", "2")
+        assert cli._worker_count(3) == 2
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == sequential
+        return sequential
+
+    # An all-black image has no relative error ...
+    (image_dir / "black.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+    assert stderr_of_both_runs() == (
+        "error: black.pgm: relative error undefined for a zero matrix\n"
+    )
+    # ... and a malformed one, sorted before it, fails first.
+    (image_dir / "bad.pgm").write_bytes(b"P2\n2 2\n9\n0 1 2 x\n")
+    assert stderr_of_both_runs() == (
+        "error: bad.pgm: sample 3 value is not an unsigned integer: b'x' (byte offset 15)\n"
+    )

@@ -130,18 +130,22 @@ def test_trailing_average_window_is_seven_days_ending_on_the_day(tmp_path):
 
 
 def test_zero_and_nonincreasing_test_counts_are_data_errors(tmp_path):
-    rows = _linear_counts(["CA"], 3)
-    rows[1][3] = "0"
+    # The bad day is NY's last window column, 2020-05-19: the errors date
+    # it from the window's first day, so an off-by-one names another day.
+    rows = _linear_counts(["CA", "NY"], 3)
+    rows[-1][3] = "0"
     path = _write_counts(tmp_path / "z.csv", rows)
-    with pytest.raises(DataError, match="zero cumulative tests"):
-        positivity_and_smooth(load_state_counts(path, START, 3, states=["CA"]))
+    with pytest.raises(DataError) as exc:
+        positivity_and_smooth(load_state_counts(path, START, 3, states=["CA", "NY"]))
+    assert str(exc.value) == "zero cumulative tests for NY on 2020-05-19"
 
-    rows = _linear_counts(["CA"], 3)
-    rows[3][3] = rows[2][3]  # repeated cumulative count: zero increment
+    rows = _linear_counts(["CA", "NY"], 3)
+    rows[-1][3] = rows[-2][3]  # repeated cumulative count: zero increment
     path = _write_counts(tmp_path / "flat.csv", rows)
-    counts = load_state_counts(path, START, 3, states=["CA"])
-    with pytest.raises(DataError, match="non-increasing"):
+    counts = load_state_counts(path, START, 3, states=["CA", "NY"])
+    with pytest.raises(DataError) as exc:
         positivity_and_smooth(counts, rate_mode="daily")
+    assert str(exc.value) == "non-increasing cumulative tests for NY on 2020-05-19"
     # cumulative mode tolerates a flat day
     positivity_and_smooth(counts, rate_mode="cumulative")
 
@@ -288,9 +292,10 @@ def test_short_rows_leave_gaps_and_extra_columns_are_ignored(tmp_path):
 
 def test_gap_report_formats_only_the_cells_it_names(tmp_path):
     # One row over a 20,007-day window of ten states leaves 200,069 holes.
-    # The count lists and arrays take about 32 bytes a cell; a report that
-    # formats a string for every hole takes about 70 more, and breaks the
-    # bound.
+    # The loader holds only the cells that rows take and formats only the
+    # ten holes it names, so its memory is bounded by the file, not by the
+    # window: a table of the window's cells, at 16 bytes a cell, or a
+    # string for every hole breaks the bound.
     path = tmp_path / "near-empty.csv"
     path.write_text("date,state,positive,totalTestResults\n2020-06-01,CA,1,2\n")
     states = ["CA", "NY", "TX", "WA", "OR", "NV", "AZ", "UT", "ID", "MT"]
@@ -311,7 +316,7 @@ def test_gap_report_formats_only_the_cells_it_names(tmp_path):
         "missing counts for " + ", ".join(f"CA {day.isoformat()}" for day in shown)
         + f" and {cells - 11} more"
     )
-    assert peak < 80 * cells
+    assert peak < 2**20
 
 
 def test_duplicate_rule_counts_rows_not_filled_cells(tmp_path):
