@@ -198,7 +198,7 @@ def _cmd_covid(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "covid",
             "input": str(args.csv),
-            "start_date": args.start_date,
+            "start_date": counts.start.isoformat(),
             "days": args.days,
             "states": list(counts.entities),
             "rate_mode": args.rate_mode,

@@ -6,12 +6,19 @@ The expected CSV schema is one row per (date, state) with columns ``date``
 (ISO ``YYYY-MM-DD`` or compact ``YYYYMMDD``), ``state`` (two-letter code),
 ``positive`` and ``totalTestResults`` (cumulative counts).  Extra columns
 are ignored; rows for states or dates outside the requested window are
-skipped, and a UTF-8 byte-order mark before the header is dropped.  Rows
-are read by column index.  The raw date text is tested first, so a row
-whose date is known to fall outside the window costs one lookup; then the
-state code; and a date is parsed only on a requested state's row, with one
-``strptime`` call per distinct date text and load: the file repeats every
-date once per state.  Error messages give the physical line of the row.
+skipped, and a UTF-8 byte-order mark before the header is dropped.  The
+header is read by the csv module.  The rest of the file is read in chunks
+of text; while the text holds no quote, NUL or carriage return and no line
+longer than the csv field limit, each line is split at its commas, which
+gives the csv module's row.  From the first line of a chunk that breaks
+this, the csv module reads the rest of the file.  Either way rows are read
+by column index.  The raw date text is tested first, so a row whose date
+is known to fall outside the window costs one lookup, and on the comma
+split only its leading fields are split; then the state code; and a date is
+parsed only on a requested state's row, once per distinct date text and
+load: the file repeats every date once per state.  A canonical date,
+ASCII ``YYYY-MM-DD`` or ``YYYYMMDD``, needs no ``strptime`` call.  Error
+messages give the physical line of the row.
 
 A panel over ``days`` output days is loaded with a 7-day warmup so that the
 trailing moving average for the first output day is complete: the count
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,13 +64,33 @@ SMOOTH_WINDOW = 7
 
 _REQUIRED_COLUMNS = ("date", "state", "positive", "totalTestResults")
 
+# Characters of file text the comma split reads at a time.
+_CHUNK = 64 * 1024
+
 
 class DataError(ValueError):
     """The input data cannot support the requested computation."""
 
 
 def _parse_date(text: str) -> dt.date:
+    """The day a ``YYYY-MM-DD`` or ``YYYYMMDD`` text names, surrounding
+    whitespace aside.  The canonical spellings, ASCII digits split 4-2-2,
+    are read by ``dt.date``; any other text, and any day ``dt.date``
+    refuses, goes to ``strptime``, which accepts exactly 8 digits only
+    when split 4-2-2, so it gives the same day or the same error."""
     text = text.strip()
+    if text.isascii():
+        if len(text) == 8:
+            digits = text
+        elif len(text) == 10 and text[4] == text[7] == "-":
+            digits = text[:4] + text[5:7] + text[8:]
+        else:
+            digits = ""
+        if digits.isdigit():
+            try:
+                return dt.date(int(digits[:4]), int(digits[4:6]), int(digits[6:]))
+            except ValueError:
+                pass
     # Only the ISO format has a dash, so the text picks its one candidate.
     fmt = "%Y-%m-%d" if "-" in text else "%Y%m%d"
     try:
@@ -125,7 +153,10 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
     once with both counts filled in; gaps and duplicates are data errors,
     and so is a count that is not a finite number >= 0.  A row with empty
     counts still takes its cell.  Only the cells that rows take are held,
-    so memory grows with the rows read, not with ``days`` x states."""
+    so memory grows with the rows read, not with ``days`` x states: besides
+    those cells, the loader holds one chunk of text and at most one line.
+    Each distinct date text is parsed once, and a canonical one without
+    ``strptime``."""
     try:
         days = _count(days, "days")
     except ValueError as exc:
@@ -153,9 +184,60 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
     col_of: dict[str, int | None] = {}
     state_of: dict[str, int | None] = {}
 
+    def take(row: list[str], line: int) -> None:
+        """File one row, read from physical line ``line``, in ``cells``."""
+        if len(row) < width:
+            if not row:
+                return
+            row += [""] * (width - len(row))
+        text = row[i_date]
+        # -1: a date text not met yet.
+        col = col_of.get(text, -1)
+        if col is None:
+            return
+        raw = row[i_state]
+        i = state_of.get(raw, -1)
+        if i == -1:
+            i = state_of[raw] = row_of.get(raw.strip())
+        if i is None:
+            return
+        # Parsed only on a requested state's row, so an unparseable date
+        # elsewhere is no error.
+        if col == -1:
+            col = (_parse_date(text) - first).days
+            col = col_of[text] = col if 0 <= col < ncols else None
+            if col is None:
+                return
+        cell = i * ncols + col
+        if cell in cells:
+            raise DataError(
+                f"duplicate row for state {codes[i]} on {_day(first, col)} (line {line})"
+            )
+        pair = []
+        for j, field in count_columns:
+            value = row[j].strip()
+            if not value:
+                continue
+            try:
+                count = float(value)
+            except ValueError:
+                count = math.nan
+            # Also false for nan, so unparseable text lands here too.
+            if not 0.0 <= count < math.inf:
+                raise DataError(
+                    f"bad {field} value {value!r} for state {codes[i]} on "
+                    f"{_day(first, col)} (line {line}); "
+                    f"a count must be a finite number >= 0"
+                )
+            pair.append(count)
+        cells[cell] = complex(*pair) if len(pair) == 2 else None
+
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        # Only the reader raises csv.Error, as on a field over the csv module's size limit.
+        # ``reader`` starts after physical line ``taken``.
+        taken = 0
+        # Only a csv reader raises csv.Error, as on a field over the csv
+        # module's size limit.
         try:
             header = next(reader, [])
             missing = [c for c in _REQUIRED_COLUMNS if c not in header]
@@ -166,55 +248,46 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
             i_date, i_state, i_pos, i_tests = (index[c] for c in _REQUIRED_COLUMNS)
             count_columns = ((i_pos, "positive"), (i_tests, "totalTestResults"))
             width = max(i_date, i_state, i_pos, i_tests) + 1
-            for row in reader:
-                if len(row) < width:
-                    if not row:
+            # While the text holds no quote, carriage return or NUL (which
+            # older csv modules refuse), each line is one record and its
+            # comma split is the csv row.  A line no longer than the field
+            # limit holds no field over it.
+            limit = csv.field_size_limit()
+            stop = i_date + 1
+            taken = reader.line_num
+            # The text from the start of the first line not yet taken.
+            text = ""
+            while True:
+                chunk = fh.read(_CHUNK)
+                text += chunk
+                lines = text.split("\n")
+                if ('"' in chunk or "\0" in chunk or "\r" in chunk
+                        or len(text) > limit and max(map(len, lines)) > limit):
+                    break
+                text = lines.pop() if chunk else ""
+                for line_num, line in enumerate(lines, taken + 1):
+                    # The date is tested before the rest of the line is split.
+                    head = line.split(",", stop)
+                    if len(head) > i_date and col_of.get(head[i_date], -1) is None:
                         continue
-                    row += [""] * (width - len(row))
-                text = row[i_date]
-                # -1: a date text not met yet.
-                col = col_of.get(text, -1)
-                if col is None:
-                    continue
-                raw = row[i_state]
-                i = state_of.get(raw, -1)
-                if i == -1:
-                    i = state_of[raw] = row_of.get(raw.strip())
-                if i is None:
-                    continue
-                # Parsed only on a requested state's row, so an unparseable date
-                # elsewhere is no error.
-                if col == -1:
-                    col = (_parse_date(text) - first).days
-                    col = col_of[text] = col if 0 <= col < ncols else None
-                    if col is None:
+                    if line:
+                        take(line.split(","), line_num)
+                taken += len(lines)
+                if not chunk:
+                    break
+            # The csv module reads the rest, from a line start on.
+            if text:
+                if not text.endswith("\n"):
+                    text += fh.readline()
+                reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
+                for row in reader:
+                    if len(row) > i_date and col_of.get(row[i_date], -1) is None:
                         continue
-                cell = i * ncols + col
-                if cell in cells:
-                    raise DataError(
-                        f"duplicate row for state {codes[i]} on {_day(first, col)} "
-                        f"(line {reader.line_num})"
-                    )
-                pair = []
-                for j, field in count_columns:
-                    value = row[j].strip()
-                    if not value:
-                        continue
-                    try:
-                        count = float(value)
-                    except ValueError:
-                        count = math.nan
-                    # Also false for nan, so unparseable text lands here too.
-                    if not 0.0 <= count < math.inf:
-                        raise DataError(
-                            f"bad {field} value {value!r} for state {codes[i]} on "
-                            f"{_day(first, col)} (line {reader.line_num}); "
-                            f"a count must be a finite number >= 0"
-                        )
-                    pair.append(count)
-                cells[cell] = complex(*pair) if len(pair) == 2 else None
+                    take(row, taken + reader.line_num)
         except csv.Error as exc:
-            raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+            raise DataError(
+                f"malformed CSV at line {taken + reader.line_num}: {exc}"
+            ) from None
 
     holes = size - sum(value is not None for value in cells.values())
     if holes:

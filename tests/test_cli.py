@@ -268,6 +268,21 @@ def test_covid_command_end_to_end(tmp_path):
     assert float(rows[0]["plain_recon"]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("spelled", ["20200517", " 2020-05-17"])
+def test_covid_report_gives_the_start_date_as_the_series_does(tmp_path, spelled):
+    # A compact or padded --start-date names the same day, and the report
+    # writes that day as the series CSV does.
+    path = write_counts(tmp_path / "c.csv", linear_counts(["CA", "NY"], 6))
+    out = tmp_path / "out"
+    rc = cli.main(["covid", str(path), "--start-date", spelled, "--days", "6",
+                   "--states", "CA,NY", "--groups", "3", "--rank", "1", "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "covid_report.json").read_text())
+    assert report["start_date"] == "2020-05-17"
+    with open(out / "covid_series.csv", newline="") as fh:
+        assert next(csv.DictReader(fh))["date"] == "2020-05-17"
+
+
 def test_covid_series_bytes_are_the_csv_modules_with_17_digit_floats(tmp_path):
     # A code that needs quoting, and counts that give no round numbers.
     rng = np.random.default_rng(61)

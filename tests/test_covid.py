@@ -364,12 +364,21 @@ def test_each_distinct_date_text_is_parsed_at_most_once(tmp_path, monkeypatch):
     rows = _linear_counts(["CA", "NY", "TX", "WA"], 20)
     rows += [[row[0], "ZZ", "1", "2"] for row in rows[:27]]
     random.Random(4).shuffle(rows)
-    # Every third row spells its date compactly, so both formats are met.
-    for row in rows[::3]:
-        row[0] = row[0].replace("-", "")
+    # Every third row spells its date compactly and some others drop the
+    # zero padding, as in 2020-5-17: both canonical spellings are met, and
+    # one that only strptime reads.
+    unpadded = set()
+    for n, row in enumerate(rows):
+        if n % 3 == 0:
+            row[0] = row[0].replace("-", "")
+        elif n % 4 == 1:
+            day = dt.date.fromisoformat(row[0])
+            row[0] = f"{day.year}-{day.month}-{day.day}"
+            unpadded.add(row[0])
     path = _write_counts(tmp_path / "c.csv", rows)
     wanted = {"CA", "NY", "TX"}
-    distinct = len({row[0] for row in rows if row[1] in wanted})
+    texts = {row[0] for row in rows if row[1] in wanted}
+    distinct = len(texts)
 
     calls = []
     real = covid._parse_date
@@ -391,7 +400,10 @@ def test_each_distinct_date_text_is_parsed_at_most_once(tmp_path, monkeypatch):
     counts = load_state_counts(path, START, 20, states=sorted(wanted))
     assert counts.positives.shape == (3, 27)
     assert 0 < len(calls) <= distinct
-    assert len(strptime_calls) == len(set(strptime_calls)) == len(calls)
+    # The canonical spellings never reach strptime; each other one does,
+    # once.
+    assert texts & unpadded
+    assert sorted(strptime_calls) == sorted(texts & unpadded)
 
 
 def test_a_byte_order_mark_before_the_header_is_ignored(tmp_path):
@@ -406,6 +418,7 @@ def test_a_byte_order_mark_before_the_header_is_ignored(tmp_path):
 
 
 _FIELDS = ("positive", "totalTestResults")
+_DEFAULT_CHUNK = covid._CHUNK
 
 
 def _reference_counts(path, start, days, codes):
@@ -525,12 +538,16 @@ def _random_counts_csv(rng, path, codes, days):
         rows += [record(0, "ZZ", 1.0, 2.0) + ["surplus", "7"]]
     rng.shuffle(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=rng.choice(["\r\n", "\n"]))
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def test_loader_matches_a_plain_reference_on_random_files(tmp_path):
+def test_loader_matches_a_plain_reference_on_random_files(tmp_path, monkeypatch):
+    # Files end their lines with LF or CRLF, and those with a note column
+    # hold quotes, so the comma split and the csv module both read them;
+    # each file is loaded with every chunk size, so the hand-over from one
+    # to the other falls at every kind of place in a line.
     rng = random.Random(2020)
     outcomes = {"loaded": 0, "refused": 0}
     for case in range(150):
@@ -541,16 +558,183 @@ def test_loader_matches_a_plain_reference_on_random_files(tmp_path):
         try:
             want = _reference_counts(path, START, days, codes)
         except DataError as exc:
-            with pytest.raises(DataError) as err:
-                load_state_counts(path, START, days, states=codes)
-            assert str(err.value) == str(exc), case
-            outcomes["refused"] += 1
-            continue
-        got = load_state_counts(path, START, days, states=codes)
-        assert got.positives.tobytes() == want[0].tobytes(), case
-        assert got.tests.tobytes() == want[1].tobytes(), case
-        outcomes["loaded"] += 1
+            want = str(exc)
+        for chunk in (1, 7, 4096, _DEFAULT_CHUNK):
+            monkeypatch.setattr(covid, "_CHUNK", chunk)
+            if isinstance(want, str):
+                with pytest.raises(DataError) as err:
+                    load_state_counts(path, START, days, states=codes)
+                assert str(err.value) == want, (case, chunk)
+                continue
+            got = load_state_counts(path, START, days, states=codes)
+            assert got.positives.tobytes() == want[0].tobytes(), (case, chunk)
+            assert got.tests.tobytes() == want[1].tobytes(), (case, chunk)
+        outcomes["refused" if isinstance(want, str) else "loaded"] += 1
     assert min(outcomes.values()) >= 30, outcomes
+
+
+def _lf_lines(rows, header=("date", "state", "positive", "totalTestResults")):
+    """The file's physical lines, header first, each ended by LF."""
+    return [",".join(row) + "\n" for row in [list(header)] + rows]
+
+
+@pytest.mark.parametrize("chunk", [256, _DEFAULT_CHUNK])
+@pytest.mark.parametrize("fault", ["quote", "nul", "lone-cr", "crlf"])
+def test_a_later_chunk_that_needs_the_csv_module_keeps_line_numbers(
+    tmp_path, monkeypatch, chunk, fault
+):
+    # About 100 KB of LF lines.  Line 2,501, past the first 64 KiB, holds
+    # what only the csv module reads, and line 2,601 a bad count.
+    monkeypatch.setattr(covid, "_CHUNK", chunk)
+    codes = ["CA", "NY", "TX", "WA"]
+    rows = _linear_counts(codes, 750)
+    lines = _lf_lines(rows)
+    k, bad = 2500, 2600
+    assert len("".join(lines[:k])) > _DEFAULT_CHUNK
+    shift = 0
+    if fault == "quote":
+        date, code, pos, tst = rows[k - 1]
+        lines[k] = f'{date},"{code}",{pos},{tst}\n'
+    elif fault == "nul":
+        lines[k] = lines[k][:-1] + ",a\0b\n"
+    elif fault == "lone-cr":
+        # A lone CR ends a physical line, so every later line number is
+        # one more than the count of LFs before it.
+        lines[k] = lines[k][:-1] + ",\rnote\n"
+        shift = 1
+    else:
+        lines[k:] = [line[:-1] + "\r\n" for line in lines[k:]]
+    path = tmp_path / "c.csv"
+    path.write_text("".join(lines), newline="")
+    want = load_state_counts(_write_counts(tmp_path / "ref.csv", rows), START, 750,
+                             states=codes)
+    got = load_state_counts(path, START, 750, states=codes)
+    assert got.positives.tobytes() == want.positives.tobytes()
+    assert got.tests.tobytes() == want.tests.tobytes()
+
+    date, code, pos, tst = rows[bad - 1]
+    lines[bad] = lines[bad].replace(f",{pos},", ",x,")
+    path.write_text("".join(lines), newline="")
+    with pytest.raises(DataError) as exc:
+        load_state_counts(path, START, 750, states=codes)
+    assert str(exc.value) == (
+        f"bad positive value 'x' for state {code} on {date} (line {bad + 1 + shift}); "
+        f"a count must be a finite number >= 0"
+    )
+
+
+def test_a_field_over_the_limit_across_chunks_names_its_line(tmp_path):
+    # The field starts some 61 KB into the first chunk and ends in the third.
+    rows = _linear_counts(["CA", "NY", "TX"], 600)
+    lines = _lf_lines(rows)
+    k = 1700
+    start = len("".join(lines[:k])) + len("".join(rows[k - 1][:2])) + 2
+    assert 0 < start < _DEFAULT_CHUNK < start + 131_073
+    rows[k - 1][2] = "9" * 131_073
+    lines[k] = ",".join(rows[k - 1]) + "\n"
+    path = tmp_path / "c.csv"
+    path.write_text("".join(lines), newline="")
+    with pytest.raises(DataError) as exc:
+        load_state_counts(path, START, 600, states=["CA", "NY", "TX"])
+    assert str(exc.value) == (
+        f"malformed CSV at line {k + 1}: field larger than field limit (131072)"
+    )
+
+
+@pytest.mark.parametrize("chunk", [7, _DEFAULT_CHUNK])
+def test_the_field_limit_is_read_when_the_load_starts(tmp_path, monkeypatch, chunk):
+    # Under a 20-character limit every data line is over the limit, yet
+    # no field is, so the file loads as it does at the default limit; a
+    # 21-character field on line 9 is refused there.  Under a 40-character
+    # limit the data lines are not over it, and a 41-character line that
+    # is one field is refused.
+    monkeypatch.setattr(covid, "_CHUNK", chunk)
+    rows = _linear_counts(["CA", "NY"], 3)
+    path = tmp_path / "c.csv"
+    path.write_text("".join(_lf_lines(rows)), newline="")
+    want = load_state_counts(path, START, 3, states=["CA", "NY"])
+    lines = _lf_lines(rows)
+    lines[8] = "x" * 41 + "\n"
+    (tmp_path / "bare.csv").write_text("".join(lines), newline="")
+    rows[7][3] = rows[7][3].rjust(21, "0")
+    (tmp_path / "long.csv").write_text("".join(_lf_lines(rows)), newline="")
+    old = csv.field_size_limit(20)
+    try:
+        got = load_state_counts(path, START, 3, states=["CA", "NY"])
+        errors = []
+        for name, limit in (("long.csv", 20), ("bare.csv", 40)):
+            csv.field_size_limit(limit)
+            with pytest.raises(DataError) as exc:
+                load_state_counts(tmp_path / name, START, 3, states=["CA", "NY"])
+            errors.append(str(exc.value))
+    finally:
+        csv.field_size_limit(old)
+    assert got.positives.tobytes() == want.positives.tobytes()
+    assert got.tests.tobytes() == want.tests.tobytes()
+    assert errors == [f"malformed CSV at line 9: field larger than field limit ({n})"
+                      for n in (20, 40)]
+    # At the default limit the long field is a count like any other.
+    assert load_state_counts(tmp_path / "long.csv", START, 3,
+                             states=["CA", "NY"]).tests.tobytes() == want.tests.tobytes()
+
+
+def _strptime_route(text):
+    """The date parse written plainly: strptime with the format the text's
+    dash picks."""
+    text = text.strip()
+    fmt = "%Y-%m-%d" if "-" in text else "%Y%m%d"
+    try:
+        return dt.datetime.strptime(text, fmt).date()
+    except ValueError:
+        raise DataError(
+            f"unparseable date {text!r}, want YYYY-MM-DD or YYYYMMDD"
+        ) from None
+
+
+def test_parse_date_matches_the_strptime_route():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # Leap and common years around the century rules, year 0 and the last
+    # one; months and days just outside their ranges; and any 2 digits.
+    years = st.sampled_from(["0000", "0001", "1900", "2000", "2020", "2021", "9999"])
+    months = st.sampled_from(["00", "01", "02", "09", "10", "12", "13", "19"])
+    days = st.sampled_from(["00", "01", "09", "28", "29", "30", "31", "32"])
+    anyway = st.integers(0, 99).map("{:02d}".format)
+    # Arabic-Indic and fullwidth digits, which strptime's \d also reads.
+    foreign = st.sampled_from(["\u0660", "\uff10"])
+    spaces = st.sampled_from(["", " ", "\t", "\u3000", " \n"])
+
+    @st.composite
+    def texts(draw):
+        year = draw(years | st.integers(0, 9999).map("{:04d}".format))
+        month, day = draw(months | anyway), draw(days | anyway)
+        text = draw(st.sampled_from([f"{year}{month}{day}", f"{year}-{month}-{day}",
+                                     f"{year}-{month.lstrip('0')}-{day}",
+                                     f"{year}{month}{day[1:]}"]))
+        for _ in range(draw(st.integers(0, 2))):
+            j = draw(st.integers(0, len(text) - 1))
+            if text[j].isdigit():
+                text = text[:j] + chr(ord(draw(foreign)) + int(text[j])) + text[j + 1:]
+        return draw(spaces) + text + draw(spaces)
+
+    outcomes = {"parsed": 0, "refused": 0}
+
+    @hyp.settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @hyp.given(texts() | st.text(alphabet="0123456789- \u0661", max_size=12))
+    def check(text):
+        try:
+            want = _strptime_route(text)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                covid._parse_date(text)
+            assert str(err.value) == str(exc)
+            outcomes["refused"] += 1
+            return
+        assert covid._parse_date(text) == want
+        outcomes["parsed"] += 1
+
+    check()
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_fuzzed_headers_read_the_last_required_columns_or_name_the_missing(tmp_path):
