@@ -35,6 +35,11 @@ from .tridiag import TridiagParams, certify_rank1_gap
 
 __all__ = ["main"]
 
+# The largest size verify-theorem certifies.  Each certificate takes a dense
+# SVD of the n x n inverse, whose time grows about eightfold per doubling:
+# n = 1000 took 39 s with one BLAS thread on a 2-core x86-64 VM.
+_MAX_CERT_SIZE = 1000
+
 
 def _list_of(kind, noun: str):
     """Argument type for a comma-separated list of distinct ``kind`` values."""
@@ -246,6 +251,13 @@ def _cmd_covid(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Every size is checked before the first certificate, so a bad one
+    # prints nothing else.
+    for n in args.sizes:
+        if n < 2:
+            raise ValueError(f"certification needs n >= 2, got {n}")
+        if n > _MAX_CERT_SIZE:
+            raise ValueError(f"certification needs n <= {_MAX_CERT_SIZE}, got {n}")
     reports = []
     any_violation = False
     first_win = None
@@ -335,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--beta", type=float, default=0.5)
     vt.add_argument("--gamma", type=float, default=1.0)
     vt.add_argument("--sizes", type=_list_of(int, "integer"), required=True,
-                    help="comma-separated matrix sizes")
+                    help=f"comma-separated matrix sizes, each in [2, {_MAX_CERT_SIZE}]")
     vt.add_argument("--out", default=None, help="optional JSON report path")
     vt.set_defaults(func=_cmd_verify)
 

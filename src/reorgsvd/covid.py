@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -147,6 +146,27 @@ class CountPanel:
             )
 
 
+def _lines(text: str):
+    """Yield the lines of ``text`` with their line ends, as a file opened
+    with ``newline=""`` gives them: a line ends at LF, CR LF or a lone CR,
+    and at none of the other breaks ``str.splitlines`` knows."""
+    size = len(text)
+    start = 0
+    # The first "\n" and "\r" at or after ``start``, or ``size``.
+    lf = cr = -1
+    while start < size:
+        if lf < start:
+            lf = text.find("\n", start)
+            lf = size if lf < 0 else lf
+        if cr < start:
+            cr = text.find("\r", start)
+            cr = size if cr < 0 else cr
+        # A "\r" ends the line unless the "\n" follows it.
+        end = cr if cr < lf - 1 else lf
+        yield text[start : end + 1]
+        start = end + 1
+
+
 def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPanel:
     """Read cumulative counts for the requested states over the count
     window.  Every (state, day) cell in the window must be present exactly
@@ -260,9 +280,10 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
             while True:
                 chunk = fh.read(_CHUNK)
                 text += chunk
+                if '"' in chunk or "\0" in chunk or "\r" in chunk:
+                    break
                 lines = text.split("\n")
-                if ('"' in chunk or "\0" in chunk or "\r" in chunk
-                        or len(text) > limit and max(map(len, lines)) > limit):
+                if len(text) > limit and max(map(len, lines)) > limit:
                     break
                 text = lines.pop() if chunk else ""
                 for line_num, line in enumerate(lines, taken + 1):
@@ -279,7 +300,7 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
             if text:
                 if not text.endswith("\n"):
                     text += fh.readline()
-                reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
+                reader = csv.reader(itertools.chain(_lines(text), fh))
                 for row in reader:
                     if len(row) > i_date and col_of.get(row[i_date], -1) is None:
                         continue

@@ -11,6 +11,11 @@ to the end of its line, may appear anywhere tokens are separated: in the
 header and in a P2 raster alike.  Per the format, exactly one whitespace
 byte separates the maxval from a P5 raster.  Content after a complete
 raster or sample list is ignored.
+
+One regular expression reads the header and words every parse error.  A
+valid P2 raster is decoded by a byte scan with the same separator rules,
+one bounded chunk at a time; on any fault the raster is read again through
+the regular expression, which raises the error at its offset.
 """
 
 from __future__ import annotations
@@ -34,6 +39,11 @@ __all__ = [
 # whitespace bytes, and a token ends at whitespace or at a "#".
 _TOKEN = re.compile(rb"#[^\n]*|([^\s#]+)")
 MAX_MAXVAL = 65535
+
+# A P2 raster is decoded in chunks of about this many bytes, each cut at a
+# whitespace byte that _SPACE finds.
+_CHUNK = 16 * 1024
+_SPACE = re.compile(rb"\s")
 
 
 class PgmError(ValueError):
@@ -93,9 +103,78 @@ def _uints(data: bytes, pos: int, what: str, low: int, high: int):
     raise PgmParseError(f"missing {what.format(i)}", len(data))
 
 
+def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray | None:
+    """The first ``count`` sample values of the P2 raster that starts at
+    ``pos``, outside any comment, or None on a fault: a token that is not
+    all digits, a value over ``maxval`` or fewer than ``count`` tokens.
+
+    The raster is scanned one chunk at a time.  A chunk ends at the first
+    whitespace byte at or after ``_CHUNK`` bytes, or, when that byte is in
+    a comment, at the comment's newline, so no token or comment crosses a
+    cut and the next chunk starts outside a comment.  A comment that a cut
+    falls in is skipped, not scanned, so what a chunk scans grows past
+    ``_CHUNK`` bytes only by the token that crosses its end."""
+    view = np.frombuffer(data, dtype=np.uint8)
+    size = len(data)
+    places = len(str(maxval))
+    out = np.empty(count, dtype=np.float64)
+    got = 0
+    while got < count:
+        if pos >= size:
+            return None
+        cut = _SPACE.search(data, pos + _CHUNK)
+        cut = cut.start() if cut else size
+        # The cut is in a comment when a "#" follows the last newline
+        # before it; the scan stops at that "#".
+        stop = data.find(b"#", max(data.rfind(b"\n", pos, cut) + 1, pos), cut)
+        if stop < 0:
+            stop = cut
+        else:
+            cut = data.find(b"\n", cut)
+            cut = size if cut < 0 else cut
+        chunk = view[pos:stop]
+        # The six ASCII whitespace bytes: "\t" to "\r", and " ".
+        sep = (chunk - ord("\t") <= ord("\r") - ord("\t")) | (chunk == ord(" "))
+        if data.find(b"#", pos, stop) >= 0:
+            # A byte is in a comment when the last "#" at or before it
+            # comes after the last newline at or before it.
+            at = np.arange(len(chunk))
+            last_hash = np.maximum.accumulate(np.where(chunk == ord("#"), at, -1))
+            last_newline = np.maximum.accumulate(np.where(chunk == ord("\n"), at, -1))
+            sep |= last_hash > last_newline
+        pos = cut
+        # The chunk starts at a separator, so the flips from separator to
+        # token and back alternate: token starts, then token ends.
+        edges = np.flatnonzero(np.diff(sep, append=True)) + 1
+        starts, ends = edges[0::2][: count - got], edges[1::2][: count - got]
+        if not len(starts):
+            continue
+        tokens, in_token = chunk[: ends[-1]], ~sep[: ends[-1]]
+        if ((tokens - ord("0") > 9) & in_token).any():
+            return None
+        # A value is read from the last ``places`` digits of its token.  Any
+        # other nonzero digit puts it over maxval, so every nonzero digit
+        # must be counted in those places.
+        nonzero = np.count_nonzero((tokens > ord("0")) & in_token)
+        values = np.zeros(len(ends), dtype=np.int64)
+        for place in range(places):
+            # The byte before a token, at starts - 1, is a separator.
+            at = np.maximum(ends - 1 - place, starts - 1)
+            digits = np.where(at >= starts, tokens[at] - ord("0"), 0)
+            nonzero -= np.count_nonzero(digits)
+            values += digits * np.int64(10**place)
+        if nonzero or (values > maxval).any():
+            return None
+        out[got : got + len(values)] = values
+        got += len(values)
+    return out
+
+
 def load_gray_image(path) -> np.ndarray:
     """Read a P2 or P5 graymap into a rows x cols float matrix with
-    entries in [0, 1]."""
+    entries in [0, 1].  The header is read by a regular expression; a P2
+    raster is decoded by a byte scan in bounded chunks, and only a faulty
+    one goes through the regular expression, which words the error."""
     data = Path(path).read_bytes()
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
@@ -135,8 +214,12 @@ def load_gray_image(path) -> np.ndarray:
                 f"bytes, have {left}",
                 len(data),
             )
-        samples = _uints(data, end, "sample {} value", 0, maxval)
-        values = np.fromiter((value for value, _ in samples), np.float64, count=count)
+        values = _p2_samples(data, end, count, maxval)
+        if values is None:
+            # On a fault the regular expression reads the raster again from
+            # its start, and raises the error where it was written.
+            samples = _uints(data, end, "sample {} value", 0, maxval)
+            values = np.fromiter((value for value, _ in samples), np.float64, count=count)
     return values.reshape(height, width) / float(maxval)
 
 

@@ -5,10 +5,13 @@ import dataclasses
 import datetime as dt
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,18 +438,50 @@ def test_verify_theorem_invalid_size_exits_1(capsys):
     assert "n >= 2" in capsys.readouterr().err
 
 
+def _child_env() -> dict:
+    """The environment for a child ``python -m reorgsvd.cli``.  The child
+    does not get pytest's ``pythonpath``, so the repo's ``src`` leads its
+    PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "reorgsvd.cli", "--help"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "approx" in proc.stdout and "verify-theorem" in proc.stdout
     proc = subprocess.run(
-        [sys.executable, "-m", "reorgsvd.cli"], capture_output=True, text=True
+        [sys.executable, "-m", "reorgsvd.cli"], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 2
+
+
+def _cap_address_space():
+    """Limit the child to 1 GiB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_verify_theorem_rejects_a_size_over_its_limit_before_any_output():
+    # A dense 20000 x 20000 inverse does not fit in 1 GiB, and the size
+    # before it is not certified first.
+    proc = subprocess.run(
+        [sys.executable, "-m", "reorgsvd.cli", "verify-theorem", "--sizes", "10,20000"],
+        capture_output=True,
+        text=True,
+        env={**_child_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=_cap_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: certification needs n <= {cli._MAX_CERT_SIZE}, got 20000\n"
 
 
 def test_approx_rejects_oversized_ascii_header_before_allocating(tmp_path, capsys):

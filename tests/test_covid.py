@@ -641,6 +641,39 @@ def test_a_field_over_the_limit_across_chunks_names_its_line(tmp_path):
     )
 
 
+def _load_peak(path, codes) -> int:
+    tracemalloc.start()
+    try:
+        load_state_counts(path, "2020-06-01", 150, states=codes)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_quote_on_line_2_costs_no_memory_over_a_quote_free_load(tmp_path):
+    # The benchmark's size: 56 codes over 730 days, 40,880 LF rows.  A
+    # quoted state on line 2 sends the whole file through the csv module,
+    # which should then hold no more than the comma split does: not the
+    # first chunk at 4 bytes a character, nor that chunk split into lines.
+    codes = list(covid.US_STATE_CODES) + ["AS", "DC", "GU", "MP", "PR", "VI"]
+    rows = _linear_counts(codes, 723)
+    assert len(rows) == 40_880
+    lines = _lf_lines(rows)
+    plain = tmp_path / "plain.csv"
+    plain.write_text("".join(lines), newline="")
+    date, code, pos, tst = rows[0]
+    lines[1] = f'{date},"{code}",{pos},{tst}\n'
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text("".join(lines), newline="")
+    states = list(covid.US_STATE_CODES)
+    # A first load outside the trace takes the one-time allocations.
+    want = load_state_counts(plain, "2020-06-01", 150, states=states)
+    got = load_state_counts(quoted, "2020-06-01", 150, states=states)
+    assert got.positives.tobytes() == want.positives.tobytes()
+    margin = 16 * 1024
+    assert _load_peak(quoted, states) <= _load_peak(plain, states) + margin
+
+
 @pytest.mark.parametrize("chunk", [7, _DEFAULT_CHUNK])
 def test_the_field_limit_is_read_when_the_load_starts(tmp_path, monkeypatch, chunk):
     # Under a 20-character limit every data line is over the limit, yet

@@ -6,8 +6,42 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reorgsvd.pgm as pgm
 from reorgsvd import PgmError, load_gray_image, write_gray_image
 from reorgsvd.pgm import PgmFormatError, PgmParseError
+
+# Chunk sizes for the P2 raster scan: tiny ones, which cut a small raster
+# at nearly every byte, and the default.
+_CHUNKS = [1, 2, 7, pgm._CHUNK]
+
+
+def _at_every_chunk_size(monkeypatch):
+    """Yield each of ``_CHUNKS`` while it is the scan's chunk size."""
+    for size in _CHUNKS:
+        monkeypatch.setattr(pgm, "_CHUNK", size)
+        yield size
+
+
+@pytest.fixture
+def regex_values(monkeypatch):
+    """The values the regular expression yields while the test runs: only
+    header values, unless a P2 raster has a fault."""
+    values = []
+    tokens = pgm._uints
+
+    def counting(*args):
+        for value, end in tokens(*args):
+            values.append(value)
+            yield value, end
+
+    monkeypatch.setattr(pgm, "_uints", counting)
+    return values
+
+
+@pytest.fixture(params=_CHUNKS, ids=lambda size: f"chunk-{size}")
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(pgm, "_CHUNK", request.param)
+    return request.param
 
 
 def _write(tmp_path, payload: bytes, name="t.pgm"):
@@ -210,6 +244,16 @@ def test_reader_memory_stays_near_the_file_size(tmp_path):
         assert _load_peak(path) < 1.5 * size
 
 
+def test_a_long_comment_in_a_p2_raster_is_skipped_not_scanned(tmp_path):
+    # A chunk cut falls in the comment, whose bytes are never scanned, so
+    # the load holds little beyond the file.
+    path = _write(tmp_path, b"P2 2 1 9 5 #" + b"x 1 #" * (1 << 18) + b"\n7\n")
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    assert _load_peak(path) < 1.5 * size
+    assert load_gray_image(path).tolist() == [[5 / 9, 7 / 9]]
+
+
 # Separators: runs of the six whitespace bytes, and "#" comments, which end
 # at a newline and may touch the token before them.
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -250,7 +294,7 @@ def _join(header, tokens, gaps):
     return bytes(out), starts
 
 
-def test_p2_rasters_with_any_separators_load_exactly(tmp_path):
+def test_p2_rasters_with_any_separators_load_exactly(tmp_path, monkeypatch, regex_values):
     hyp, st, gap, raster = _p2_strategies()
 
     # Content after the last sample, even a bad token, is ignored.
@@ -259,14 +303,17 @@ def test_p2_rasters_with_any_separators_load_exactly(tmp_path):
     def check(case, tail):
         maxval, samples, header, tokens, gaps, width, height = case
         data, _ = _join(header, tokens, gaps)
-        img = load_gray_image(_write(tmp_path, data + tail))
+        path = _write(tmp_path, data + tail)
         want = np.array(samples, dtype=np.float64).reshape(height, width) / maxval
-        assert np.array_equal(img, want)
+        for _ in _at_every_chunk_size(monkeypatch):
+            regex_values.clear()
+            assert np.array_equal(load_gray_image(path), want)
+            assert regex_values == [width, height, maxval]
 
     check()
 
 
-def test_p2_raster_faults_are_reported_where_they_were_written(tmp_path):
+def test_p2_raster_faults_are_reported_where_they_were_written(tmp_path, monkeypatch):
     hyp, st, _, raster = _p2_strategies()
     non_digit = st.one_of(
         st.sampled_from([b"x", b"+3", b"-1", b"1_0", b"3.0", b"1e3", b"\xb2", b"\xd9\xa3"]),
@@ -285,10 +332,12 @@ def test_p2_raster_faults_are_reported_where_they_were_written(tmp_path):
             del tokens[j]
             del gaps[len(header) + j - 1]
             data, _ = _join(header, tokens, gaps)
-            with pytest.raises(PgmParseError) as err:
-                load_gray_image(_write(tmp_path, data))
-            assert str(err.value).startswith(("missing sample", "raster truncated"))
-            assert err.value.offset == len(data)
+            path = _write(tmp_path, data)
+            for _ in _at_every_chunk_size(monkeypatch):
+                with pytest.raises(PgmParseError) as err:
+                    load_gray_image(path)
+                assert str(err.value).startswith(("missing sample", "raster truncated"))
+                assert err.value.offset == len(data)
             return
         if fault == "non-digit":
             tokens[j] = draw.draw(non_digit)
@@ -299,9 +348,81 @@ def test_p2_raster_faults_are_reported_where_they_were_written(tmp_path):
             tokens[j] = str(value).encode()
             message = f"sample {j} value {value} outside [0, {maxval}]"
         data, starts = _join(header, tokens, gaps)
-        with pytest.raises(PgmParseError) as err:
-            load_gray_image(_write(tmp_path, data))
-        assert str(err.value) == f"{message} (byte offset {starts[j]})"
-        assert err.value.offset == starts[j]
+        path = _write(tmp_path, data)
+        for _ in _at_every_chunk_size(monkeypatch):
+            with pytest.raises(PgmParseError) as err:
+                load_gray_image(path)
+            assert str(err.value) == f"{message} (byte offset {starts[j]})"
+            assert err.value.offset == starts[j]
 
     check()
+
+
+# Rasters, each with the samples it holds, that the first chunk's nominal
+# end falls in: in a comment, in a token, or before the lines end.
+_ACROSS_A_CUT = {
+    "comment": (b"#c 6 #7\n 5 8", [5, 8]),
+    "comment-touching-a-token": (b"5#c 6\n8", [5, 8]),
+    "token": (b"12345 6", [12345, 6]),
+    "crlf": (b"12\r\n#c 3\r\n4\r\n", [12, 4]),
+    "padded-to-25-digits": (b"0" * 20 + b"65535 1", [65535, 1]),
+    "no-newline": (b"17\t8\x0b9 \x0c#tail 5", [17, 8, 9]),
+    # Junk and a "#" after the last sample, in the sample's chunk.
+    "junk-after": (b"1 2 junk# 9x", [1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", _ACROSS_A_CUT, ids=str)
+def test_p2_scan_reads_what_straddles_a_chunk_cut(tmp_path, chunk, regex_values, case):
+    raster, samples = _ACROSS_A_CUT[case]
+    header = f"P2 {len(samples)} 1 65535".encode()
+    # The raster starts at len(header), so the first chunk's nominal end,
+    # len(header) + chunk, falls in its first or second byte.
+    data = header + b" " * max(1, chunk - 1) + raster
+    img = load_gray_image(_write(tmp_path, data))
+    assert np.array_equal(img, np.array([samples], dtype=np.float64) / 65535)
+    assert regex_values == [len(samples), 1, 65535]
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (b"1x", "sample {} value is not an unsigned integer: b'1x'"),
+        (b"256", "sample {} value 256 outside [0, 255]"),
+        (b"0" * 22 + b"256", "sample {} value 256 outside [0, 255]"),
+        # Its low digits alone would be in range.
+        (b"1" + b"0" * 24, "sample {} value 1" + "0" * 24 + " outside [0, 255]"),
+    ],
+    ids=["non-digit", "over-maxval", "padded-over-maxval", "25-digits"],
+)
+def test_p2_scan_faults_in_a_later_chunk_keep_their_offsets(tmp_path, chunk, fault, message):
+    # Two bytes a sample, so the fault lies past the first chunk.
+    before = chunk // 2 + 2
+    header = f"P2 {before + 2} 1 255".encode()
+    data = header + b" 1" * before + b" " + fault + b" 2\n"
+    with pytest.raises(PgmParseError) as err:
+        load_gray_image(_write(tmp_path, data))
+    offset = len(header) + 2 * before + 1
+    assert str(err.value) == f"{message.format(before)} (byte offset {offset})"
+
+
+def test_p2_scan_reports_a_sample_missing_from_a_later_chunk(tmp_path, chunk):
+    before = chunk // 2 + 2
+    # The trailing comment keeps the raster long enough for the size check.
+    data = f"P2 {before + 1} 1 255".encode() + b" 1" * before + b" #pad\n"
+    with pytest.raises(PgmParseError) as err:
+        load_gray_image(_write(tmp_path, data))
+    assert str(err.value) == f"missing sample {before} value (byte offset {len(data)})"
+
+
+def test_a_valid_raster_never_goes_through_the_token_generator(tmp_path, regex_values):
+    rng = np.random.default_rng(33)
+    samples = rng.integers(0, 1024, size=(60, 200))
+    lines = [b"P2 # a graymap\r\n200 60\n1023 #maxval\n"]
+    for row in samples:
+        lines.append(b" ".join(b"%d" % v for v in row) + b" # row end 12 x\n")
+    data = b"".join(lines)
+    assert len(data) > 2 * pgm._CHUNK
+    img = load_gray_image(_write(tmp_path, data))
+    assert np.array_equal(img, samples / 1023)
+    assert regex_values == [200, 60, 1023]
