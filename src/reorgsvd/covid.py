@@ -10,15 +10,17 @@ skipped, and a UTF-8 byte-order mark before the header is dropped.  The
 header is read by the csv module.  The rest of the file is read in chunks
 of text; while the text holds no quote, NUL or carriage return and no line
 longer than the csv field limit, each line is split at its commas, which
-gives the csv module's row.  From the first line of a chunk that breaks
-this, the csv module reads the rest of the file.  Either way rows are read
-by column index.  The raw date text is tested first, so a row whose date
-is known to fall outside the window costs one lookup, and on the comma
-split only its leading fields are split; then the state code; and a date is
-parsed only on a requested state's row, once per distinct date text and
-load: the file repeats every date once per state.  A canonical date,
-ASCII ``YYYY-MM-DD`` or ``YYYYMMDD``, needs no ``strptime`` call.  Error
-messages give the physical line of the row.
+gives the csv module's row.  At the first chunk that breaks this, the rows
+taken so far are dropped and the csv module reads the whole file again
+from its start, so a file that needs it late is read about twice.  Either
+way rows are read by column index.  The raw date text is tested first, so
+a row whose date is known to fall outside the window costs one lookup, and
+on the comma split only its leading fields are split; then the state code;
+and a date is parsed only on a requested state's row, once per distinct
+date text and load: the file repeats every date once per state.  A
+canonical date, ASCII ``YYYY-MM-DD`` or ``YYYYMMDD``, needs no ``strptime``
+call.  Error messages give the physical line of the row, and text that is
+not UTF-8 the file byte offset of its first bad byte.
 
 A panel over ``days`` output days is loaded with a 7-day warmup so that the
 trailing moving average for the first output day is complete: the count
@@ -28,6 +30,7 @@ for an output day averages the 7 daily rates ending on that day.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import itertools
@@ -63,7 +66,8 @@ SMOOTH_WINDOW = 7
 
 _REQUIRED_COLUMNS = ("date", "state", "positive", "totalTestResults")
 
-# Characters of file text the comma split reads at a time.
+# Characters of file text the comma split reads at a time, and bytes the
+# scan for a byte that is not UTF-8 reads.
 _CHUNK = 64 * 1024
 
 
@@ -124,6 +128,29 @@ def _day(first: dt.date, col: int) -> str:
     return (first + dt.timedelta(days=col)).isoformat()
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+    """The error for the first byte of ``path`` that is not UTF-8, named by
+    its file offset: ``exc`` holds an offset into a block of the text
+    layer, so the file is scanned again in chunks to place the byte."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    # Bytes read so far; a fault's object is the decoder's held-back
+    # bytes followed by the block just read.
+    offset = 0
+    with open(path, "rb") as fh:
+        try:
+            while block := fh.read(_CHUNK):
+                offset += len(block)
+                decoder.decode(block)
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError as fault:
+            return DataError(
+                f"CSV is not UTF-8: can't decode byte 0x{fault.object[fault.start]:02x}: "
+                f"{fault.reason} (byte offset {offset - len(fault.object) + fault.start})"
+            )
+    # The file changed after the text layer read it.
+    return DataError(str(exc))
+
+
 @dataclass(frozen=True)
 class CountPanel:
     """Cumulative positives and tests per (state, day) over the count
@@ -146,27 +173,6 @@ class CountPanel:
             )
 
 
-def _lines(text: str):
-    """Yield the lines of ``text`` with their line ends, as a file opened
-    with ``newline=""`` gives them: a line ends at LF, CR LF or a lone CR,
-    and at none of the other breaks ``str.splitlines`` knows."""
-    size = len(text)
-    start = 0
-    # The first "\n" and "\r" at or after ``start``, or ``size``.
-    lf = cr = -1
-    while start < size:
-        if lf < start:
-            lf = text.find("\n", start)
-            lf = size if lf < 0 else lf
-        if cr < start:
-            cr = text.find("\r", start)
-            cr = size if cr < 0 else cr
-        # A "\r" ends the line unless the "\n" follows it.
-        end = cr if cr < lf - 1 else lf
-        yield text[start : end + 1]
-        start = end + 1
-
-
 def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPanel:
     """Read cumulative counts for the requested states over the count
     window.  Every (state, day) cell in the window must be present exactly
@@ -175,8 +181,10 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
     counts still takes its cell.  Only the cells that rows take are held,
     so memory grows with the rows read, not with ``days`` x states: besides
     those cells, the loader holds one chunk of text and at most one line.
-    Each distinct date text is parsed once, and a canonical one without
-    ``strptime``."""
+    A chunk the comma split cannot take sends the csv module through the
+    whole file again from its start, with the cells dropped, so a file that
+    needs it late is read about twice.  Each distinct date text is parsed
+    once per load, and a canonical one without ``strptime``."""
     try:
         days = _count(days, "days")
     except ValueError as exc:
@@ -254,8 +262,6 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
 
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        # ``reader`` starts after physical line ``taken``.
-        taken = 0
         # Only a csv reader raises csv.Error, as on a field over the csv
         # module's size limit.
         try:
@@ -296,19 +302,23 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
                 taken += len(lines)
                 if not chunk:
                     break
-            # The csv module reads the rest, from a line start on.
+            # Text is left when the comma split met a chunk it cannot take:
+            # then the csv module reads the whole file again from its
+            # header.  The cells taken so far are dropped; the date and
+            # state caches stay, so no date text is parsed twice.
             if text:
-                if not text.endswith("\n"):
-                    text += fh.readline()
-                reader = csv.reader(itertools.chain(_lines(text), fh))
+                cells.clear()
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
                 for row in reader:
                     if len(row) > i_date and col_of.get(row[i_date], -1) is None:
                         continue
-                    take(row, taken + reader.line_num)
+                    take(row, reader.line_num)
         except csv.Error as exc:
-            raise DataError(
-                f"malformed CSV at line {taken + reader.line_num}: {exc}"
-            ) from None
+            raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(csv_path, exc) from None
 
     holes = size - sum(value is not None for value in cells.values())
     if holes:

@@ -484,6 +484,72 @@ def test_verify_theorem_rejects_a_size_over_its_limit_before_any_output():
     assert proc.stderr == f"error: certification needs n <= {cli._MAX_CERT_SIZE}, got 20000\n"
 
 
+def _hostile_argv(case: str, d: Path) -> list[str]:
+    """The command line of one hostile case, its input files written to
+    ``d``."""
+    image = str(d / "8x8.pgm")
+    write_gray_image(np.linspace(0.1, 1.0, 64).reshape(8, 8), image)
+    counts = d / "c.csv"
+    if case == "non-utf8-csv":
+        data = bytearray("".join(
+            ",".join(row) + "\n"
+            for row in [["date", "state", "positive", "totalTestResults"]]
+            + linear_counts(["CA", "NY", "TX", "WA"], 1000)
+        ).encode())
+        data[100_003] = 0xFF
+        counts.write_bytes(bytes(data))
+    else:
+        write_counts(counts, linear_counts(["CA"], 3))
+    covid_args = ["covid", str(counts), "--states", "CA", "--out", str(d / "o")]
+    if case == "p5-header-over-its-raster":
+        path = d / "huge.pgm"
+        path.write_bytes(b"P5\n100000 100000\n255\n" + bytes(100))
+        return ["approx", str(path), "--ranks", "1", "--out", str(d / "o")]
+    return {
+        "covid-days-1e12": covid_args + ["--start-date", "2020-05-17",
+                                         "--days", "1000000000000"],
+        "covid-start-past-9999": covid_args + ["--start-date", "9999-12-30"],
+        "tile-over-the-image": ["approx", image, "--method", "tiled", "--tile", "9",
+                                "--ranks", "1", "--out", str(d / "o")],
+        "ranks-1e21": ["approx", image, "--ranks", str(10**21), "--out", str(d / "o")],
+        "sweep-targets-0": ["sweep", str(d), "--tile-sizes", "2", "--targets", "0",
+                            "--out", str(d / "s.csv")],
+        "gamma-1e308": ["verify-theorem", "--sizes", "10", "--gamma", "1e308"],
+        "alpha-1": ["verify-theorem", "--sizes", "10", "--alpha", "1"],
+        "non-utf8-csv": ["covid", str(counts), "--start-date", "2020-05-17",
+                         "--days", "1000", "--states", "CA,NY,TX,WA", "--out", str(d / "o")],
+    }[case]
+
+
+@pytest.mark.parametrize("case, names", [
+    ("p5-header-over-its-raster", "raster truncated"),
+    ("covid-days-1e12", "1000000000000 days"),
+    ("covid-start-past-9999", "9999-12-30"),
+    ("tile-over-the-image", "9 x 9 tile"),
+    ("ranks-1e21", str(10**21)),
+    ("sweep-targets-0", "8x8.pgm: target must be in (0, 1), got 0.0"),
+    ("gamma-1e308", "1e+308"),
+    ("alpha-1", "|alpha|"),
+    ("non-utf8-csv", "(byte offset 100003)"),
+])
+def test_hostile_input_exits_cleanly_under_a_memory_cap(tmp_path, case, names):
+    # Each case runs in a child limited to 1 GiB of address space: it must
+    # end with exit code 1 or 2 and one `error:` line that names what it
+    # refuses, never a traceback.
+    proc = subprocess.run(
+        [sys.executable, "-m", "reorgsvd.cli", *_hostile_argv(case, tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**_child_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=_cap_address_space,
+        timeout=120,
+    )
+    assert proc.returncode in (1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("error: ") and names in last, last
+
+
 def test_approx_rejects_oversized_ascii_header_before_allocating(tmp_path, capsys):
     path = tmp_path / "huge.pgm"
     path.write_bytes(b"P2 1000000000 1000000000 255\n")

@@ -375,7 +375,19 @@ def test_each_distinct_date_text_is_parsed_at_most_once(tmp_path, monkeypatch):
             day = dt.date.fromisoformat(row[0])
             row[0] = f"{day.year}-{day.month}-{day.day}"
             unpadded.add(row[0])
-    path = _write_counts(tmp_path / "c.csv", rows)
+    # The csv writer ends lines with CRLF, so the csv module reads that file
+    # from its header; the comma split reads the LF one throughout.  The
+    # third has a quote in its last row: in chunks of 256 characters the
+    # comma split takes the rows before it, then the csv module reads the
+    # whole file again, and must not parse their dates again.
+    lines = _lf_lines(rows)
+    date, code, pos, tst = rows[-1]
+    files = {"crlf": _write_counts(tmp_path / "c.csv", rows)}
+    for name, text in (("lf", lines),
+                       ("quote-last", lines[:-1] + [f'{date},"{code}",{pos},{tst}\n'])):
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text("".join(text), newline="")
+    assert len("".join(lines)) > 10 * 256
     wanted = {"CA", "NY", "TX"}
     texts = {row[0] for row in rows if row[1] in wanted}
     distinct = len(texts)
@@ -397,13 +409,17 @@ def test_each_distinct_date_text_is_parsed_at_most_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(covid, "_parse_date", counting)
     monkeypatch.setattr(_strptime, "_strptime", counting_strptime)
-    counts = load_state_counts(path, START, 20, states=sorted(wanted))
-    assert counts.positives.shape == (3, 27)
-    assert 0 < len(calls) <= distinct
-    # The canonical spellings never reach strptime; each other one does,
-    # once.
+    monkeypatch.setattr(covid, "_CHUNK", 256)
     assert texts & unpadded
-    assert sorted(strptime_calls) == sorted(texts & unpadded)
+    for name, path in files.items():
+        calls.clear()
+        strptime_calls.clear()
+        counts = load_state_counts(path, START, 20, states=sorted(wanted))
+        assert counts.positives.shape == (3, 27), name
+        assert 0 < len(calls) <= distinct, name
+        # The canonical spellings never reach strptime; each other one
+        # does, once.
+        assert sorted(strptime_calls) == sorted(texts & unpadded), name
 
 
 def test_a_byte_order_mark_before_the_header_is_ignored(tmp_path):
@@ -546,8 +562,8 @@ def _random_counts_csv(rng, path, codes, days):
 def test_loader_matches_a_plain_reference_on_random_files(tmp_path, monkeypatch):
     # Files end their lines with LF or CRLF, and those with a note column
     # hold quotes, so the comma split and the csv module both read them;
-    # each file is loaded with every chunk size, so the hand-over from one
-    # to the other falls at every kind of place in a line.
+    # each file is loaded with every chunk size, so the chunk at which the
+    # csv module starts over falls at every kind of place in a line.
     rng = random.Random(2020)
     outcomes = {"loaded": 0, "refused": 0}
     for case in range(150):
@@ -650,19 +666,22 @@ def _load_peak(path, codes) -> int:
         tracemalloc.stop()
 
 
-def test_a_quote_on_line_2_costs_no_memory_over_a_quote_free_load(tmp_path):
+@pytest.mark.parametrize("line", [2, 40_881], ids=["line-2", "last-line"])
+def test_a_quote_costs_no_memory_over_a_quote_free_load(tmp_path, line):
     # The benchmark's size: 56 codes over 730 days, 40,880 LF rows.  A
-    # quoted state on line 2 sends the whole file through the csv module,
-    # which should then hold no more than the comma split does: not the
-    # first chunk at 4 bytes a character, nor that chunk split into lines.
+    # quoted state sends the whole file through the csv module, from its
+    # header, which should then hold no more than the comma split does:
+    # not the first chunk at 4 bytes a character, nor that chunk split
+    # into lines.  On the last line, the comma split has taken every
+    # earlier row before the csv module starts over.
     codes = list(covid.US_STATE_CODES) + ["AS", "DC", "GU", "MP", "PR", "VI"]
     rows = _linear_counts(codes, 723)
     assert len(rows) == 40_880
     lines = _lf_lines(rows)
     plain = tmp_path / "plain.csv"
     plain.write_text("".join(lines), newline="")
-    date, code, pos, tst = rows[0]
-    lines[1] = f'{date},"{code}",{pos},{tst}\n'
+    date, code, pos, tst = rows[line - 2]
+    lines[line - 1] = f'{date},"{code}",{pos},{tst}\n'
     quoted = tmp_path / "quoted.csv"
     quoted.write_text("".join(lines), newline="")
     states = list(covid.US_STATE_CODES)
@@ -709,6 +728,34 @@ def test_the_field_limit_is_read_when_the_load_starts(tmp_path, monkeypatch, chu
     # At the default limit the long field is a count like any other.
     assert load_state_counts(tmp_path / "long.csv", START, 3,
                              states=["CA", "NY"]).tests.tobytes() == want.tests.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [7, _DEFAULT_CHUNK])
+@pytest.mark.parametrize("bad, reason", [(b"\xff", "invalid start byte"),
+                                         (b"\xe2\x82", "invalid continuation byte")],
+                         ids=["ff", "e2-82"])
+@pytest.mark.parametrize("line, bom", [(2, b""), (4002, b"\xef\xbb\xbf")],
+                         ids=["line-2", "line-4002-bom"])
+def test_invalid_utf8_is_named_by_its_file_byte_offset(
+    tmp_path, monkeypatch, chunk, bad, reason, line, bom
+):
+    # The bad bytes replace the date's fourth character on ``line``: on line
+    # 4,002 that is past the first 64 KiB, after a byte-order mark.
+    monkeypatch.setattr(covid, "_CHUNK", chunk)
+    codes = ["CA", "NY", "TX", "WA"]
+    lines = _lf_lines(_linear_counts(codes, 1000))
+    offset = len(bom) + len("".join(lines[: line - 1])) + 3
+    assert (line == 2) == (offset < _DEFAULT_CHUNK)
+    data = bom + "".join(lines).encode()
+    path = tmp_path / "c.csv"
+    path.write_bytes(data)
+    assert load_state_counts(path, START, 1000, states=codes).positives.shape == (4, 1007)
+    path.write_bytes(data[:offset] + bad + data[offset + 1 :])
+    with pytest.raises(DataError) as exc:
+        load_state_counts(path, START, 1000, states=codes)
+    assert str(exc.value) == (
+        f"CSV is not UTF-8: can't decode byte 0x{bad[0]:02x}: {reason} (byte offset {offset})"
+    )
 
 
 def _strptime_route(text):
