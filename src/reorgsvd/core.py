@@ -34,6 +34,13 @@ __all__ = [
 JACOBI_MAX_SWEEPS = 60
 JACOBI_REL_TOL = 1e-12
 
+# Rows per block of the Gram matrix that proves a sweep quiet, and the
+# squared row norm under which the proof gives up: above it, tol**2 times
+# a product of two norms, and every dot near the line, stay clear of the
+# subnormal range.
+_GRAM_BLOCK = 16
+_GRAM_TINY = 2.0**-460
+
 
 class SvdConvergenceError(RuntimeError):
     """Jacobi sweep cap exhausted before the off-diagonal mass went under
@@ -111,9 +118,9 @@ class SvdFactorization:
     leading k singular vectors, as ``thin_svd(a, rank=k)`` returns them,
     with every singular value still held; ``thin_svd(a)`` holds every
     triple (k = len(sigma)).  ``sweeps`` is the number of Jacobi sweeps
-    :func:`thin_svd` ran, the final rotation-free one included, and
-    ``rotations`` the number of pair rotations it applied; both are 0 for a
-    factorization built by hand.
+    :func:`thin_svd` took, the final rotation-free one included, whether it
+    was run or proved quiet, and ``rotations`` the number of pair rotations
+    it applied; both are 0 for a factorization built by hand.
     """
 
     u: np.ndarray
@@ -149,12 +156,13 @@ def _pivot_order(a: np.ndarray) -> tuple[np.ndarray, int]:
     (the absolute-error rule of LAPACK's xGEJSV), and r is the number of
     steps taken; a zero matrix has r = 0.  Dropping the rest of R1 is a
     backward error of at most n * eps * sigma_1.  Runs modified
-    Gram-Schmidt on a scratch copy held one column per row.  The columns
-    after the first r keep their order.
+    Gram-Schmidt on a scratch copy held one column per row, swapping a
+    pivot into place through one row copy and subtracting each projection
+    as one rank-1 update.  The columns after the first r keep their order.
     """
     res = np.array(a.T)
     n = res.shape[0]
-    order = np.arange(n)
+    order = list(range(n))
     for k in range(n):
         tail = res[k:]
         norms = np.einsum("ij,ij->i", tail, tail)
@@ -164,14 +172,17 @@ def _pivot_order(a: np.ndarray) -> tuple[np.ndarray, int]:
             # Squared, like the norms.
             cut = np.finfo(np.float64).eps ** 2 * n * top
         if top <= cut:
-            return order, k
+            return np.array(order, dtype=np.intp), k
         if j != k:
-            res[[k, j]] = res[[j, k]]
-            order[[k, j]] = order[[j, k]]
+            row = res[j].copy()
+            res[j] = res[k]
+            res[k] = row
+            order[k], order[j] = order[j], order[k]
         w = res[k] / math.sqrt(float(top))
         rest = res[k + 1:]
-        rest -= np.outer(rest @ w, w)
-    return order, n
+        # The products of np.outer, for less overhead.
+        rest -= np.einsum("i,j->ij", rest @ w, w)
+    return np.array(order, dtype=np.intp), n
 
 
 def _schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,12 +236,70 @@ def _pair_views(m: np.ndarray) -> tuple[np.ndarray, ...]:
     return m, pairs, pairs[:, 0], pairs[:, 1]
 
 
+def _sweep_is_quiet(rows: np.ndarray, norms: np.ndarray) -> bool:
+    """True when a Jacobi sweep over ``rows``, with the squared row norms
+    ``norms`` the kernel computed for it, would rotate no pair; False when
+    a pair would rotate, or when the check gives up.
+
+    Until its first rotation a sweep meets each pair with the rows and
+    norms it started with, so it rotates nothing when no pair (p, q) has
+    ``apq**2 > tol**2 * |app * aqq|``, apq being the kernel's einsum of
+    the two rows and tol ``JACOBI_REL_TOL`` (Demmel and Veselic's pair
+    cosine test).  A BLAS dot and that einsum each lie within
+    gamma_m ||p|| ||q|| of the exact dot, with m the row length, u the unit
+    roundoff and gamma_m = m u / (1 - m u), so a pair whose Gram entry has
+    |G_pq| <= (1 - 4 m u / tol) tol sqrt(app aqq) cannot pass.  The Gram
+    matrix is taken ``_GRAM_BLOCK`` rows at a time, and the pairs above
+    that line, the near ones, get the kernel's own test, einsum included,
+    ``_GRAM_BLOCK`` pairs at a time.  A zero row's dots are exact zeros,
+    which never pass.  Gives up when another row's squared norm is under
+    ``_GRAM_TINY``, where underflow could void the bound, when more than n
+    pairs are near, or when the margin factor is under 1/2 (m above about
+    1,100).
+    """
+    n, m = rows.shape
+    tol = JACOBI_REL_TOL
+    # 2**-53 is the unit roundoff u, and gamma_m = m u / (1 - m u).
+    margin = 1.0 - 4.0 * m * 2.0**-53 / tol
+    tiny = norms < _GRAM_TINY
+    if margin < 0.5 or (tiny.any() and rows[tiny].any()):
+        return False
+    # A zero row's Gram entries are exact zeros, so any positive size
+    # leaves its pairs under the line.
+    size = np.sqrt(np.maximum(norms, _GRAM_TINY))
+    line = margin * tol * size
+    near = []
+    count = 0
+    for i in range(0, n - 1, _GRAM_BLOCK):
+        # |G_pq| / size_q against line_p, in place, so that the check
+        # allocates little beyond one block.
+        gram = rows[i : i + _GRAM_BLOCK] @ rows[i + 1 :].T
+        np.abs(gram, out=gram)
+        gram /= size[i + 1 :]
+        # Column c of the block is row i + 1 + c, so c >= a holds the
+        # pairs p < q of block row a.
+        a, c = np.nonzero(gram > line[i : i + _GRAM_BLOCK, None])
+        upper = c >= a
+        count += int(np.count_nonzero(upper))
+        if count > n:
+            return False
+        near.append((a[upper] + i, c[upper] + i + 1))
+    rel2 = tol * tol
+    for p, q in near:
+        for k in range(0, len(p), _GRAM_BLOCK):
+            pc, qc = p[k : k + _GRAM_BLOCK], q[k : k + _GRAM_BLOCK]
+            apq = np.einsum("ij,ij->i", rows[pc], rows[qc])
+            if (apq * apq > rel2 * np.abs(norms[pc] * norms[qc])).any():
+                return False
+    return True
+
+
 def _jacobi(x: np.ndarray) -> tuple[int, int]:
     """One-sided Jacobi on ``X``, held one column per row (row j of ``x``
     is column j of ``X``), with an even number n of columns; :func:`thin_svd`
     gives an odd triangle one zero column, whose pairs are never rotated.
-    Works in place and returns the sweeps run and the pair rotations
-    applied.
+    Works in place and returns the sweeps taken, the last rotation-free
+    one included, and the pair rotations applied.
 
     While it runs, the rows sit in the current round's order
     (:func:`_schedule`), so the round's n/2 pairs are one n/2 x 2 view of
@@ -240,6 +309,12 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
     needs no rotation gets the identity, which leaves its rows as they
     are.  Every rotation, norm estimate and count is the one the pairs
     would get one round at a time in column order.
+
+    A sweep that follows one with fewer rotations than a quarter of its
+    (n - 1) n/2 pair slots is first checked by :func:`_sweep_is_quiet`
+    from its fresh norms and one Gram product; when that proves it would
+    rotate nothing, the kernel has converged without running it, and the
+    sweep is counted as if it had run.  Otherwise it runs as any other.
 
     ``x`` must hold no -0.0, which the identity would return as +0.0 (the
     product sums from +0.0).  :func:`thin_svd` passes none: its QRs fill R
@@ -259,6 +334,10 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
     ones, twos = np.ones(h), np.full(h, 2.0)
     rotations = 0
     converged = False
+    # A sweep after one that rotated under a quarter of its (n - 1) h pair
+    # slots may be proved quiet instead of run.
+    slots = (n - 1) * h
+    few = False
 
     # An inactive pair may divide by apq == 0 below; its angle is set to 0,
     # the identity, whatever the division gave.
@@ -268,6 +347,10 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
             # in-sweep updates below are cheap estimates that drift over
             # many rotations.
             norms = np.multiply(cur[0], cur[0], out=nxt[0]).sum(axis=1)
+            if few and _sweep_is_quiet(cur[0], norms):
+                converged = True
+                break
+            before = rotations
             rotated = False
             for move in moves:
                 _, pairs, p, q = cur
@@ -294,9 +377,12 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
                     app -= shift
                     aqq += shift
                     cur, nxt = nxt, cur
-                np.take(cur[0], move, axis=0, out=nxt[0], mode="clip")
+                # The method, not np.take: the same call without its
+                # Python wrapper, which is felt at one call a round.
+                cur[0].take(move, axis=0, out=nxt[0], mode="clip")
                 cur, nxt = nxt, cur
                 norms = norms[move]
+            few = 4 * (rotations - before) < slots
             if not rotated:
                 converged = True
                 break
@@ -351,12 +437,16 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     size of the two columns, which keeps the singular values above the
     rank cut accurate relative to themselves (columns graded from 1 to
     1e-10 keep every one to about 1e-15 relative).  Convergence is
-    declared after a sweep with no rotations.  At most
-    ``JACOBI_MAX_SWEEPS`` sweeps run, the final rotation-free one
-    included; if the last of them still rotated,
-    :class:`SvdConvergenceError` is raised.  The sweeps run and the pair
-    rotations applied are reported in :attr:`SvdFactorization.sweeps` and
-    :attr:`SvdFactorization.rotations`.
+    declared after a sweep with no rotations.  After a sweep that rotated
+    under a quarter of its pairs, the next one may instead be proved quiet
+    from one Gram product of the columns, in blocks of 16, with the
+    kernel's own test on the few pairs whose Gram entry lies near the
+    tolerance; a proved sweep is counted as a run one, so the result is
+    the same bit for bit.  At most ``JACOBI_MAX_SWEEPS`` sweeps are taken,
+    the final rotation-free one included; if the last of them still
+    rotated, :class:`SvdConvergenceError` is raised.  The sweeps taken and
+    the pair rotations applied are reported in
+    :attr:`SvdFactorization.sweeps` and :attr:`SvdFactorization.rotations`.
 
     ``rank=k``, an integer in [0, min(m, n)], returns every singular value
     and the leading k singular vectors on each side; ``rank=None`` (the

@@ -44,6 +44,9 @@ MAX_MAXVAL = 65535
 # whitespace byte that _SPACE finds.
 _CHUNK = 16 * 1024
 _SPACE = re.compile(rb"\s")
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+_ZEROS = re.compile(rb"0*")
+_DIGITS = re.compile(rb"[0-9]*")
 
 
 class PgmError(ValueError):
@@ -103,6 +106,18 @@ def _uints(data: bytes, pos: int, what: str, low: int, high: int):
     raise PgmParseError(f"missing {what.format(i)}", len(data))
 
 
+def _token_value(data: bytes, start: int, stop: int, maxval: int) -> int | None:
+    """The value of the token ``data[start:stop]``, or None when it is not
+    all digits or is over ``maxval``; found by byte searches (past the
+    leading zeros, then past the digits), so no copy of a long token is
+    made."""
+    lead = _ZEROS.match(data, start, stop).end()
+    if _DIGITS.match(data, lead, stop).end() < stop or stop - lead > len(str(maxval)):
+        return None
+    value = int(data[lead:stop] or b"0")
+    return value if value <= maxval else None
+
+
 def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray | None:
     """The first ``count`` sample values of the P2 raster that starts at
     ``pos``, outside any comment, or None on a fault: a token that is not
@@ -112,8 +127,9 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray | 
     whitespace byte at or after ``_CHUNK`` bytes, or, when that byte is in
     a comment, at the comment's newline, so no token or comment crosses a
     cut and the next chunk starts outside a comment.  A comment that a cut
-    falls in is skipped, not scanned, so what a chunk scans grows past
-    ``_CHUNK`` bytes only by the token that crosses its end."""
+    falls in is skipped, not scanned.  A token that crosses ``_CHUNK``
+    bytes is read apart by :func:`_token_value`, so the arrays of a chunk
+    cover at most ``_CHUNK`` bytes however long that token is."""
     view = np.frombuffer(data, dtype=np.uint8)
     size = len(data)
     places = len(str(maxval))
@@ -122,7 +138,8 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray | 
     while got < count:
         if pos >= size:
             return None
-        cut = _SPACE.search(data, pos + _CHUNK)
+        edge = pos + _CHUNK
+        cut = _SPACE.search(data, edge)
         cut = cut.start() if cut else size
         # The cut is in a comment when a "#" follows the last newline
         # before it; the scan stops at that "#".
@@ -132,10 +149,16 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray | 
         else:
             cut = data.find(b"\n", cut)
             cut = size if cut < 0 else cut
-        chunk = view[pos:stop]
+        # Bytes from the edge to the stop belong to one token, which starts
+        # past the last whitespace byte before the edge (the chunk starts at
+        # one).
+        start = stop
+        if stop > edge:
+            start = 1 + max(data.rfind(c, pos, edge) for c in _WHITESPACE)
+        chunk = view[pos:start]
         # The six ASCII whitespace bytes: "\t" to "\r", and " ".
         sep = (chunk - ord("\t") <= ord("\r") - ord("\t")) | (chunk == ord(" "))
-        if data.find(b"#", pos, stop) >= 0:
+        if data.find(b"#", pos, start) >= 0:
             # A byte is in a comment when the last "#" at or before it
             # comes after the last newline at or before it.
             at = np.arange(len(chunk))
@@ -147,26 +170,31 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray | 
         # token and back alternate: token starts, then token ends.
         edges = np.flatnonzero(np.diff(sep, append=True)) + 1
         starts, ends = edges[0::2][: count - got], edges[1::2][: count - got]
-        if not len(starts):
-            continue
-        tokens, in_token = chunk[: ends[-1]], ~sep[: ends[-1]]
-        if ((tokens - ord("0") > 9) & in_token).any():
-            return None
-        # A value is read from the last ``places`` digits of its token.  Any
-        # other nonzero digit puts it over maxval, so every nonzero digit
-        # must be counted in those places.
-        nonzero = np.count_nonzero((tokens > ord("0")) & in_token)
-        values = np.zeros(len(ends), dtype=np.int64)
-        for place in range(places):
-            # The byte before a token, at starts - 1, is a separator.
-            at = np.maximum(ends - 1 - place, starts - 1)
-            digits = np.where(at >= starts, tokens[at] - ord("0"), 0)
-            nonzero -= np.count_nonzero(digits)
-            values += digits * np.int64(10**place)
-        if nonzero or (values > maxval).any():
-            return None
-        out[got : got + len(values)] = values
-        got += len(values)
+        if len(starts):
+            tokens, in_token = chunk[: ends[-1]], ~sep[: ends[-1]]
+            if ((tokens - ord("0") > 9) & in_token).any():
+                return None
+            # A value is read from the last ``places`` digits of its token.
+            # Any other nonzero digit puts it over maxval, so every nonzero
+            # digit must be counted in those places.
+            nonzero = np.count_nonzero((tokens > ord("0")) & in_token)
+            values = np.zeros(len(ends), dtype=np.int64)
+            for place in range(places):
+                # The byte before a token, at starts - 1, is a separator.
+                at = np.maximum(ends - 1 - place, starts - 1)
+                digits = np.where(at >= starts, tokens[at] - ord("0"), 0)
+                nonzero -= np.count_nonzero(digits)
+                values += digits * np.int64(10**place)
+            if nonzero or (values > maxval).any():
+                return None
+            out[got : got + len(values)] = values
+            got += len(values)
+        if start < stop and got < count:
+            value = _token_value(data, start, stop, maxval)
+            if value is None:
+                return None
+            out[got] = value
+            got += 1
     return out
 
 

@@ -111,18 +111,21 @@ def geometric_partial_sums(delta: float, n: int) -> np.ndarray:
 
 
 def closed_form_inverse(p: TridiagParams) -> np.ndarray:
-    """Inverse of the tridiagonal member, assembled entrywise from the
-    closed form rather than by solving linear systems."""
+    """Inverse of the tridiagonal member from the closed form rather than
+    by solving linear systems: the powers (-alpha)**k and (-beta)**k are
+    two tables over k < n, gathered at max(i-j, 0) and max(j-i, 0), which
+    gives each entry the bits of its own ``pow`` call."""
     n = p.n
     s = geometric_partial_sums(p.delta, n)
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
+    k = np.arange(n)
+    i = k[:, None]
+    j = k[None, :]
     lo = np.maximum(i - j, 0)
     hi = np.maximum(j - i, 0)
     # S index n - max(i, j) in 1-based terms is position n - max(i, j) - 1
     # of the 0-based array.
     tail = s[n - 1 - np.maximum(i, j)]
-    return np.power(-p.alpha, lo) * np.power(-p.beta, hi) * tail / p.gamma
+    return np.power(-p.alpha, k)[lo] * np.power(-p.beta, k)[hi] * tail / p.gamma
 
 
 def spectral_norm_bound(p: TridiagParams) -> float:

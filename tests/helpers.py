@@ -1,9 +1,10 @@
-"""Small builders shared between the panel and CLI tests, and the
+"""Small input helpers shared between the panel and CLI tests, the
 round-at-a-time Jacobi kernel, with its own schedule, that the pair-major
-one must match."""
+one must match, and the pivot loop that ``core._pivot_order`` must match."""
 
 import csv
 import datetime as dt
+import math
 
 import numpy as np
 
@@ -123,3 +124,34 @@ def reference_jacobi(x: np.ndarray) -> tuple[int, int]:
     raise core.SvdConvergenceError(
         f"one-sided Jacobi did not converge in {core.JACOBI_MAX_SWEEPS} sweeps"
     )
+
+
+def reference_pivot_order(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Column order of ``a`` for QR with column pivoting, and the numerical
+    rank it reveals.
+
+    The loop ``core._pivot_order`` had before it swapped rows through one
+    copy, kept the order in a list and formed the rank-1 update by einsum,
+    kept as it was, so that tests can check the order and the rank against
+    it.
+    """
+    res = np.array(a.T)
+    n = res.shape[0]
+    order = np.arange(n)
+    for k in range(n):
+        tail = res[k:]
+        norms = np.einsum("ij,ij->i", tail, tail)
+        j = k + int(np.argmax(norms))
+        top = norms[j - k]
+        if k == 0:
+            # Squared, like the norms.
+            cut = np.finfo(np.float64).eps ** 2 * n * top
+        if top <= cut:
+            return order, k
+        if j != k:
+            res[[k, j]] = res[[j, k]]
+            order[[k, j]] = order[[j, k]]
+        w = res[k] / math.sqrt(float(top))
+        rest = res[k + 1:]
+        rest -= np.outer(rest @ w, w)
+    return order, n

@@ -6,7 +6,9 @@ import datetime as dt
 import io
 import json
 import os
+import re
 import resource
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -651,3 +653,109 @@ def test_parallel_sweep_reports_a_malformed_graymap_like_a_sequential_one(
     assert stderr_of_both_runs() == (
         "error: bad.pgm: sample 3 value is not an unsigned integer: b'x' (byte offset 15)\n"
     )
+
+
+# Edge values for the hostile argument vectors, and valid values small
+# enough that an accepted run is quick.
+_EDGE = ["0", "-1", str(10**21), "1e308", "nan", "inf", ""]
+_INTS = ["1", "2", "3", "4", "8", "12"]
+_TARGETS = ["0.05", "0.2", "0.5", "0.9999"]
+_PARAMS = ["0.5", "-0.5", "0.9999", "1e-100", "1e100", "0.3"]
+_SIZES = ["2", "3", "10", "17", "40"]
+_DATES = ["2020-05-17", "2020-05-20", "2020-05-10"]
+_BAD_DATES = ["", "garbage", "2020-02-30", "0001-01-01", "9999-12-30"]
+
+
+def _argv_strategies(st, d: Path):
+    """Argument vectors for each subcommand, over the inputs written to
+    ``d``: graymaps of at most 32 x 32, a counts CSV of 84 rows, garbage
+    and missing files.  Each value is a valid one or a hostile one."""
+    write_gray_image(np.linspace(0.1, 1.0, 32 * 32).reshape(32, 32), d / "images" / "a.pgm")
+    write_gray_image(np.random.default_rng(17).random((12, 20)), d / "images" / "b.pgm")
+    (d / "p2.pgm").write_bytes(b"P2 3 2 9\n1 2 3\n4 5 9\n")
+    (d / "garbage").write_bytes(b"\x00\xffP5 nonsense\n" * 4)
+    (d / "empty").mkdir()
+    write_counts(d / "c.csv", linear_counts(["CA", "NY", "TX", "WA"], 14))
+    hostile_files = [str(d / name) for name in ("garbage", "absent", "empty")] + [""]
+
+    def value(valid, hostile=_EDGE):
+        return st.one_of(st.sampled_from(valid), st.sampled_from(hostile))
+
+    def listed(valid, hostile=_EDGE):
+        return st.lists(value(valid, hostile), min_size=1, max_size=3).map(",".join)
+
+    def words(flags, optional):
+        """Each flag with its drawn value; an optional one may be left out."""
+        return st.tuples(*(
+            st.one_of(st.just([]), v.map(lambda x, f=flag: [f, x])) if optional
+            else v.map(lambda x, f=flag: [f, x])
+            for flag, v in flags.items()
+        )).map(lambda parts: [w for part in parts for w in part])
+
+    def command(name, positional, required, optional):
+        return st.tuples(st.just([name]), positional, words(required, False),
+                         words(optional, True)).map(lambda t: t[0] + t[1] + t[2] + t[3])
+
+    out = value([str(d / "out" / "o")], [str(d / "garbage"), ""])
+    image = value([str(d / "images" / "a.pgm"), str(d / "p2.pgm")], hostile_files)
+    ints = value(_INTS)
+    return {
+        "approx": st.one_of(
+            command("approx", image.map(lambda f: [f]),
+                    {"--ranks": listed(_INTS), "--out": out},
+                    {"--method": value(["plain"], ["x"])}),
+            command("approx", image.map(lambda f: [f]),
+                    {"--method": value(["tiled"], ["x"]), "--ranks": listed(_INTS),
+                     "--out": out},
+                    {"--tile": ints, "--tile-rows": ints, "--tile-cols": ints})),
+        "sweep": command(
+            "sweep", value([str(d / "images")], hostile_files).map(lambda f: [f]),
+            {"--tile-sizes": listed(_INTS), "--targets": listed(_TARGETS, _EDGE + ["-inf"]),
+             "--out": value([str(d / "out" / "s.csv")], [str(d / "empty"), ""])},
+            {}),
+        "covid": command(
+            "covid", value([str(d / "c.csv")], hostile_files).map(lambda f: [f]),
+            {"--start-date": value(_DATES, _BAD_DATES), "--days": value(["7", "10", "14"]),
+             "--states": value(["CA", "CA,NY", "NY,TX,WA"], ["", "XX", "ca", "CA,CA"]),
+             "--out": out},
+            {"--groups": ints, "--rank": ints,
+             "--rate-mode": value(["cumulative", "daily"], ["x"])}),
+        "verify-theorem": command(
+            "verify-theorem", st.just([]),
+            {"--sizes": listed(_SIZES)},
+            {"--alpha": value(_PARAMS, _EDGE + ["-inf"]), "--beta": value(_PARAMS),
+             "--gamma": value(_PARAMS), "--out": value([str(d / "out" / "v.json")],
+                                                       [str(d / "empty"), ""])}),
+    }
+
+
+@pytest.mark.parametrize("subcommand", ["approx", "sweep", "covid", "verify-theorem"])
+def test_hostile_argument_vectors_exit_cleanly_under_a_memory_cap(tmp_path, subcommand):
+    # Each drawn command line runs in a child limited to 1 GiB of address
+    # space: no traceback, a documented exit code, and a failure's last
+    # stderr line is the program's `error:` line or argparse's usage error.
+    hyp = pytest.importorskip("hypothesis")
+    (tmp_path / "images").mkdir()
+    argvs = _argv_strategies(hyp.strategies, tmp_path)[subcommand]
+    usage_error = re.compile(r"reorgsvd( [a-z-]+)?: error: ")
+
+    @hyp.settings(derandomize=True, max_examples=3, deadline=None, database=None)
+    @hyp.given(argvs)
+    def check(argv):
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "reorgsvd.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**_child_env(), "OPENBLAS_NUM_THREADS": "1"},
+            cwd=tmp_path,
+            preexec_fn=_cap_address_space,
+            timeout=120,
+        )
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert proc.returncode in (0, 1, 2, 3), (argv, proc.stderr)
+        if proc.returncode:
+            last = proc.stderr.splitlines()[-1]
+            assert last.startswith("error: ") or usage_error.match(last), (argv, last)
+
+    check()

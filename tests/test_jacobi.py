@@ -2,16 +2,24 @@
 replaced: the same bytes, sweeps and rotations, an odd triangle padded
 with a zero column as ``thin_svd`` pads it, the round schedule, a
 bounded memory peak, and the triangle without -0.0 that ``thin_svd``
-hands the kernel."""
+hands the kernel.  Also the pivot order against the loop it replaced,
+and the check that proves a last sweep quiet instead of running it."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import reference_jacobi
+from helpers import reference_jacobi, reference_pivot_order
 
 import reorgsvd.core as core
-from reorgsvd import SvdConvergenceError, TridiagParams, closed_form_inverse, diag_to_columns
+from reorgsvd import (
+    SvdConvergenceError,
+    TridiagParams,
+    closed_form_inverse,
+    diag_to_columns,
+    tile_to_columns,
+)
+from reorgsvd.sweep import crop_to_tile_multiple
 
 
 def _triangle(a):
@@ -277,3 +285,137 @@ def test_thin_svd_hands_the_kernel_no_negative_zero(monkeypatch):
             core.thin_svd(a, rank=rank)
     assert len(triangles) == 2 * len(NO_NEGATIVE_ZERO_INPUTS)
     assert not any(np.signbit(x[x == 0.0]).any() for x in triangles)
+
+
+def _blocky_unfolding(rows, cols, block, t):
+    """A tile unfolding of a piecewise constant image, as the bench's sweep
+    makes it: ``rows`` x ``cols`` in ``block`` x ``block`` cells, cropped
+    to and unfolded by t x t tiles, in the tall orientation ``thin_svd``
+    pivots."""
+    rng = np.random.default_rng([14, rows, cols])
+    levels = rng.integers(20, 236, size=(rows // block, cols // block)) / 255.0
+    image = np.kron(levels, np.ones((block, block)))
+    a = tile_to_columns(crop_to_tile_multiple(image, t, t), t, t)[0]
+    return a if a.shape[0] >= a.shape[1] else a.T
+
+
+def _pivot_gaussian(n):
+    return np.random.default_rng([0, n]).standard_normal((n + 3, n))
+
+
+def _pivot_graded(n):
+    rng = np.random.default_rng([1, n])
+    return (rng.standard_normal((n + 3, n))
+            * np.logspace(0, -10, n + 3)[:, None] * np.logspace(0, -10, n))
+
+
+# Functions that make each input, so that a fault in the code under test
+# fails the tests, not the collection.  The bench's blocky images are
+# 160 x 160 in 8 x 8 cells and 96 x 128 in 4 x 4 cells; the latter at
+# tile 12 gives the 144 x 80 unfolding.
+PIVOT_INPUTS = {f"gaussian-{n}": (lambda n=n: _pivot_gaussian(n))
+                for n in (1, 2, 3, 7, 16, 40, 65, 200)}
+PIVOT_INPUTS |= {f"graded-{n}": (lambda n=n: _pivot_graded(n)) for n in (7, 33, 65)}
+PIVOT_INPUTS["duplicates-21"] = lambda: _duplicates(21)
+PIVOT_INPUTS["diagonal-layout-200"] = lambda: diag_to_columns(
+    closed_form_inverse(TridiagParams(alpha=0.5, beta=0.5, gamma=1.0, n=200)))
+PIVOT_INPUTS["orthogonal-pairs-13"] = lambda: _orthogonal_pairs(13)
+PIVOT_INPUTS["identity-10"] = lambda: np.eye(10)
+PIVOT_INPUTS |= {
+    f"blocky-{rows}x{cols}-tile-{t}": (lambda a=(rows, cols, block, t): _blocky_unfolding(*a))
+    for rows, cols, block in ((160, 160, 8), (96, 128, 4))
+    for t in (4, 8, 12, 16)
+}
+PIVOT_INPUTS["rank-deficient"] = _rank_deficient
+PIVOT_INPUTS |= {f"signed-zeros-{i}": (lambda a=a: a)
+                 for i, a in enumerate(NO_NEGATIVE_ZERO_INPUTS[:16])}
+PIVOT_INPUTS["zero"] = lambda: np.zeros((6, 4))
+PIVOT_INPUTS["single-column"] = lambda: np.random.default_rng(15).standard_normal((9, 1))
+
+
+@pytest.mark.parametrize("name", PIVOT_INPUTS)
+def test_pivot_order_matches_the_reference_loop(name):
+    a = PIVOT_INPUTS[name]()
+    want, want_r = reference_pivot_order(a)
+    got, got_r = core._pivot_order(a)
+    assert got_r == want_r and type(got_r) is int
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _kernel_rotates_a_pair(rows, norms):
+    """Whether the kernel's own test, einsum of the two rows included,
+    passes for any pair of ``rows`` with the squared norms ``norms``."""
+    n = rows.shape[0]
+    rel2 = core.JACOBI_REL_TOL * core.JACOBI_REL_TOL
+    p, q = np.triu_indices(n, 1)
+    apq = np.einsum("ij,ij->i", rows[p], rows[q])
+    return bool((apq * apq > rel2 * np.abs(norms[p] * norms[q])).any())
+
+
+def _rows_with_cosines(cosines, n=12, m=14, zero_row=False):
+    """Rows of graded norms, orthogonal but for pair (2k, 2k + 1), whose
+    cosine is cosines[k] times the kernel's tolerance."""
+    rows = np.zeros((n, m))
+    rows[:, :n] = np.diag(np.logspace(0, -6, n))
+    for k, c in enumerate(cosines):
+        rows[2 * k + 1, 2 * k] = c * core.JACOBI_REL_TOL * rows[2 * k + 1, 2 * k + 1]
+    if zero_row:
+        rows[-1] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("cosines, quiet", [
+    ((1.05, 0.95), False),
+    ((0.95,), True),
+    ((0.95, 1.05), False),
+    # Near the line, so the kernel's own test decides.
+    ((0.999, 0.95), True),
+    ((1.0001, 0.95), False),
+    ((0.9999999, 0.999), True),
+    ((), True),
+])
+@pytest.mark.parametrize("zero_row", [False, True])
+def test_quiet_sweep_check_agrees_with_the_kernel_test(cosines, quiet, zero_row):
+    rows = _rows_with_cosines(cosines, zero_row=zero_row)
+    norms = (rows * rows).sum(axis=1)
+    assert _kernel_rotates_a_pair(rows, norms) is not quiet
+    assert core._sweep_is_quiet(rows, norms) is quiet
+
+
+def test_quiet_sweep_check_gives_up_on_a_tiny_row():
+    # A row whose squared norm is under 2**-460 could put the bound under
+    # underflow, so the sweep is run, although it rotates nothing.
+    rows = _rows_with_cosines((0.95,))
+    rows[5] *= 2.0**-240
+    norms = (rows * rows).sum(axis=1)
+    assert not _kernel_rotates_a_pair(rows, norms)
+    assert core._sweep_is_quiet(rows, norms) is False
+
+
+def _gaussian_200():
+    return np.random.default_rng(16).standard_normal((200, 200))
+
+
+def _inverse_200():
+    return closed_form_inverse(TridiagParams(alpha=0.5, beta=0.5, gamma=1.0, n=200))
+
+
+@pytest.mark.parametrize("build", [_gaussian_200, _inverse_200], ids=["gaussian", "inverse"])
+def test_thin_svd_proves_its_last_sweep_quiet(build, monkeypatch):
+    a = build()
+    check, results = core._sweep_is_quiet, []
+
+    def spy(rows, norms):
+        results.append(check(rows, norms))
+        return results[-1]
+
+    monkeypatch.setattr(core, "_sweep_is_quiet", spy)
+    proved = core.thin_svd(a)
+    # The kernel ended on the proof, not on a sweep it ran.
+    assert results[-1] is True
+    # With the check failing, every sweep runs, to the same bytes and counts.
+    monkeypatch.setattr(core, "_sweep_is_quiet", lambda rows, norms: False)
+    run = core.thin_svd(a)
+    for field in ("u", "sigma", "v"):
+        assert getattr(proved, field).tobytes() == getattr(run, field).tobytes()
+    assert (proved.sweeps, proved.rotations) == (run.sweeps, run.rotations)

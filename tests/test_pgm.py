@@ -254,6 +254,41 @@ def test_a_long_comment_in_a_p2_raster_is_skipped_not_scanned(tmp_path):
     assert load_gray_image(path).tolist() == [[5 / 9, 7 / 9]]
 
 
+def test_a_zero_padded_token_across_a_chunk_cut_is_read_without_copies(tmp_path, chunk):
+    # The token crosses every chunk size's cut and is read by byte
+    # searches, so the load holds little beyond the file.
+    path = _write(tmp_path, b"P2 2 1 255 " + b"0" * (1 << 20) + b"7 0")
+    size = path.stat().st_size
+    assert _load_peak(path) < 1.5 * size
+    assert load_gray_image(path).tolist() == [[7 / 255, 0.0]]
+
+
+# Long tokens, each over three default chunks, and what loading them
+# gives: the samples, or the start of the error message.
+_LONG_TOKENS = {
+    "zero-padded": (b"0" * 50_000 + b"255 9", [255, 9]),
+    "all-zeros": (b"0" * 50_000 + b" 9", [0, 9]),
+    "padded-then-a-comment": (b"0" * 50_000 + b"12#c 1\n9", [12, 9]),
+    "padded-non-digit": (b"0" * 50_000 + b"7x 9", "sample 0 value is not an unsigned integer"),
+    "padded-over-maxval": (b"0" * 50_000 + b"256 9", "sample 0 value 256 outside [0, 255]"),
+    "long-number": (b"1" + b"0" * 50_000 + b" 9", "sample 0 value 1000"),
+}
+
+
+@pytest.mark.parametrize("case", _LONG_TOKENS)
+def test_a_long_token_across_a_chunk_cut_keeps_its_value_or_error(tmp_path, chunk, case):
+    raster, want = _LONG_TOKENS[case]
+    header = b"P2 2 1 255 "
+    path = _write(tmp_path, header + raster)
+    if isinstance(want, list):
+        assert load_gray_image(path).tolist() == [[v / 255 for v in want]]
+        return
+    with pytest.raises(PgmParseError) as err:
+        load_gray_image(path)
+    assert str(err.value).startswith(want)
+    assert err.value.offset == len(header)
+
+
 # Separators: runs of the six whitespace bytes, and "#" comments, which end
 # at a newline and may touch the token before them.
 _WHITESPACE = b" \t\n\r\x0b\x0c"

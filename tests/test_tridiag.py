@@ -202,3 +202,37 @@ def test_certificate_flags_doctored_numbers():
     assert any("ceiling" in line for line in bad.violations())
     bad = dataclasses.replace(cert, remainder=cert.remainder + 1.0)
     assert any("diag_norm_sq" in line for line in bad.violations())
+
+
+def _entrywise_inverse(p):
+    """The closed form with one ``pow`` call per entry on two n x n
+    exponent grids: the assembly ``closed_form_inverse`` had before it
+    gathered the powers from two tables."""
+    n = p.n
+    s = geometric_partial_sums(p.delta, n)
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    lo = np.maximum(i - j, 0)
+    hi = np.maximum(j - i, 0)
+    tail = s[n - 1 - np.maximum(i, j)]
+    return np.power(-p.alpha, lo) * np.power(-p.beta, hi) * tail / p.gamma
+
+
+# (alpha, beta, gamma): signs mixed, |alpha| and |beta| up to 0.9999, and
+# gamma at 1 and at both ends of its range.
+_INVERSE_PARAMS = [
+    (0.5, 0.5, 1.0),
+    (-0.3, 0.6, 1.0),
+    (0.9999, -0.9999, 1e100),
+    (-0.9999, -0.123456789, 1e-100),
+    (0.123456789, 0.9999, 1.0),
+    (-0.5, 0.0, 1e-100),
+]
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 100, 201, 1000])
+def test_closed_form_inverse_is_the_entrywise_formula_bit_for_bit(n):
+    # Three parameter sets at n = 1000, where the grids cost most.
+    for alpha, beta, gamma in _INVERSE_PARAMS[: 3 if n == 1000 else None]:
+        p = TridiagParams(alpha, beta, gamma, n)
+        assert closed_form_inverse(p).tobytes() == _entrywise_inverse(p).tobytes()
