@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .core import SvdConvergenceError, _count, approx_report, rank_k_approx, thin_svd
 from .covid import DataError, covid_experiment, load_state_counts, positivity_and_smooth
-from .pgm import PgmError, load_gray_image, write_gray_image
+from .pgm import load_gray_image, write_gray_image
 from .report import SCHEMA_VERSION, dump, format_float
 from .reshape import columns_to_tiles, tile_to_columns
 from .sweep import SweepRecord, crop_to_tile_multiple, tile_sweep
@@ -227,13 +227,14 @@ def _cmd_covid(args) -> int:
         writer.writerow(["state", "date", "actual", "plain_recon", "stacked_recon"])
         series = (panel, rep.plain_recon, rep.stacked_recon)
         days = [(counts.start + dt.timedelta(days=d)).isoformat() for d in range(counts.days)]
-        # Each line is the csv module's own "code," (quoted as it would
-        # quote the cell), the date and three floats, where "%.17g" gives
-        # the text of format(x, ".17g"); one write per entity.
+        # Each line is the csv module's own "code," (a row of the file's
+        # dialect, which quotes a line feed, without its terminator), the
+        # date and three floats, where "%.17g" gives the text of
+        # format(x, ".17g"); one write per entity.
         for code, *rows in zip(counts.entities, *series):
             cell = io.StringIO()
-            csv.writer(cell, lineterminator="").writerow([code, ""])
-            head = cell.getvalue()
+            csv.writer(cell, lineterminator="\n").writerow([code, ""])
+            head = cell.getvalue()[:-1]
             fh.write("".join(
                 "%s%s,%.17g,%.17g,%.17g\n" % (head, day, a, p, s)
                 for day, a, p, s in zip(days, *(r.tolist() for r in rows))
@@ -303,49 +304,82 @@ def _cmd_verify(args) -> int:
     return 3 if any_violation else 0
 
 
+_EXIT_CODES = (
+    "Exit codes: 0 success, 1 data or I/O failure, 2 usage error, "
+    "3 certification violation (verify-theorem)."
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reorgsvd",
         description="Low-rank approximation with entry reorganization.",
+        epilog=_EXIT_CODES,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ap = sub.add_parser("approx", help="rank-k approximation of one graymap")
+    ap = sub.add_parser("approx", help="rank-k approximation of one graymap",
+                        epilog=_EXIT_CODES)
     ap.add_argument("image", help="input .pgm (P2 or P5)")
-    ap.add_argument("--method", choices=("plain", "tiled"), default="plain")
-    ap.add_argument("--tile-rows", type=int)
-    ap.add_argument("--tile-cols", type=int)
-    ap.add_argument("--tile", type=int, help="shorthand for square tiles")
+    ap.add_argument("--method", choices=("plain", "tiled"), default="plain",
+                    help="layout to approximate (default: %(default)s)")
+    ap.add_argument("--tile-rows", type=int, help="tile height, for --method tiled")
+    ap.add_argument("--tile-cols", type=int, help="tile width, for --method tiled")
+    ap.add_argument("--tile", type=int,
+                    help="square tiles: the same as --tile-rows TILE --tile-cols TILE")
     ap.add_argument("--ranks", type=_list_of(int, "integer"), required=True,
                     help="comma-separated ranks, e.g. 5,15,25")
     ap.add_argument("--out", required=True, help="output directory")
     ap.set_defaults(func=_cmd_approx)
 
-    sw = sub.add_parser("sweep", help="tile-size sweep over a directory of graymaps")
-    sw.add_argument("directory")
-    sw.add_argument("--tile-sizes", type=_list_of(int, "integer"), required=True)
-    sw.add_argument("--targets", type=_list_of(float, "number"), required=True)
+    sw = sub.add_parser(
+        "sweep",
+        help="tile-size sweep over a directory of graymaps",
+        epilog="RESHAPE_THREADS=N runs the sweep in N worker processes, at most one "
+               "per image and one per CPU; the output is byte-identical to the "
+               "sequential run. " + _EXIT_CODES,
+    )
+    sw.add_argument("directory", help="directory of .pgm graymaps")
+    sw.add_argument("--tile-sizes", type=_list_of(int, "integer"), required=True,
+                    help="comma-separated square tile edges, e.g. 4,8,16")
+    sw.add_argument("--targets", type=_list_of(float, "number"), required=True,
+                    help="comma-separated target relative errors, each in (0, 1)")
     sw.add_argument("--out", required=True, help="output CSV path")
     sw.set_defaults(func=_cmd_sweep)
 
-    cv = sub.add_parser("covid", help="column-group stacking on a positivity panel")
+    cv = sub.add_parser("covid", help="column-group stacking on a positivity panel",
+                        epilog=_EXIT_CODES)
     cv.add_argument("csv", help="counts CSV (date,state,positive,totalTestResults)")
-    cv.add_argument("--start-date", required=True)
-    cv.add_argument("--days", type=int, default=150)
+    cv.add_argument("--start-date", required=True,
+                    help="first output day, e.g. 2020-06-01; counts are read from "
+                         "7 days before it")
+    cv.add_argument("--days", type=int, default=150,
+                    help="number of output days (default: %(default)s)")
     cv.add_argument("--states", type=_list_of(str, "state code"),
                     help="comma-separated codes; default: the 50 US states")
-    cv.add_argument("--groups", type=int, default=3)
-    cv.add_argument("--rank", type=int, default=2)
-    cv.add_argument("--rate-mode", choices=("cumulative", "daily"), default="cumulative")
-    cv.add_argument("--no-normalize", action="store_true")
+    cv.add_argument("--groups", type=int, default=3,
+                    help="contiguous day groups to stack (default: %(default)s)")
+    cv.add_argument("--rank", type=int, default=2,
+                    help="approximation rank (default: %(default)s)")
+    cv.add_argument("--rate-mode", choices=("cumulative", "daily"), default="cumulative",
+                    help="divide cumulative counts or day-over-day increments "
+                         "(default: %(default)s)")
+    cv.add_argument("--no-normalize", action="store_true",
+                    help="keep each state's smoothed series instead of dividing it "
+                         "by its peak")
     cv.add_argument("--out", required=True, help="output directory")
     cv.set_defaults(func=_cmd_covid)
 
     vt = sub.add_parser("verify-theorem", help="certify the rank-1 gap for the "
-                                               "tridiagonal-inverse family")
-    vt.add_argument("--alpha", type=float, default=0.5)
-    vt.add_argument("--beta", type=float, default=0.5)
-    vt.add_argument("--gamma", type=float, default=1.0)
+                                               "tridiagonal-inverse family",
+                        epilog=_EXIT_CODES)
+    vt.add_argument("--alpha", type=float, default=0.5,
+                    help="subdiagonal of L, |alpha| < 1 (default: %(default)s)")
+    vt.add_argument("--beta", type=float, default=0.5,
+                    help="U's superdiagonal over its diagonal, |beta| < 1 "
+                         "(default: %(default)s)")
+    vt.add_argument("--gamma", type=float, default=1.0,
+                    help="diagonal of U, in [1e-100, 1e100] (default: %(default)s)")
     vt.add_argument("--sizes", type=_list_of(int, "integer"), required=True,
                     help=f"comma-separated matrix sizes, each in [2, {_MAX_CERT_SIZE}]")
     vt.add_argument("--out", default=None, help="optional JSON report path")
@@ -370,7 +404,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (PgmError, DataError, SvdConvergenceError, OSError, ValueError) as exc:
+    except (ValueError, OSError, SvdConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

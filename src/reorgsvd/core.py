@@ -330,8 +330,6 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
     # Row pair (p, q) becomes (c p - s q, s p + c q).
     g = np.empty((h, 2, 2))
     gc, gc2, gs, gms = g[:, 0, 0], g[:, 1, 1], g[:, 1, 0], g[:, 0, 1]
-    # Ufuncs take these sooner than the floats 1.0 and 2.0, to the same bits.
-    ones, twos = np.ones(h), np.full(h, 2.0)
     rotations = 0
     converged = False
     # A sweep after one that rotated under a quarter of its (n - 1) h pair
@@ -364,11 +362,11 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
                 if k:
                     rotated = True
                     rotations += k
-                    zeta = (aqq - app) / (twos * apq)
-                    t = np.copysign(ones, zeta) / (np.abs(zeta) + np.hypot(ones, zeta))
+                    zeta = (aqq - app) / (2.0 * apq)
+                    t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
                     if k < h:
                         t[~act] = 0.0
-                    np.divide(ones, np.sqrt(ones + t * t), out=gc)
+                    np.divide(1.0, np.sqrt(1.0 + t * t), out=gc)
                     gc2[...] = gc
                     np.multiply(t, gc, out=gs)
                     np.negative(gs, out=gms)

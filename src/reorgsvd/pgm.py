@@ -12,10 +12,13 @@ header and in a P2 raster alike.  Per the format, exactly one whitespace
 byte separates the maxval from a P5 raster.  Content after a complete
 raster or sample list is ignored.
 
-One regular expression reads the header and words every parse error.  A
-valid P2 raster is decoded by a byte scan with the same separator rules,
-one bounded chunk at a time; on any fault the raster is read again through
-the regular expression, which raises the error at its offset.
+One regular expression finds the header's tokens, and one function,
+``_token_value``, decides whether a token is an unsigned integer no larger
+than its bound, by byte searches that copy nothing, so a zero-padded token
+costs no memory beyond the file.  A valid P2 raster is decoded by a byte
+scan with the same separator rules, one bounded chunk at a time, in which
+each comment reads as one space.  On any fault the raster is read again
+through the regular expression, which words the error at its offset.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ __all__ = [
     "write_gray_image",
 ]
 
-# A comment, or a token (group 1).  Bytes-mode \s is the six ASCII
-# whitespace bytes, and a token ends at whitespace or at a "#".
-_TOKEN = re.compile(rb"#[^\n]*|([^\s#]+)")
+# A comment runs to the end of its line.  _TOKEN finds a comment or a token
+# (group 1), which ends at whitespace or at a "#"; bytes-mode \s is the six
+# ASCII whitespace bytes.
+_COMMENT = re.compile(rb"#[^\n]*")
+_TOKEN = re.compile(_COMMENT.pattern + rb"|([^\s#]+)")
 MAX_MAXVAL = 65535
 
 # A P2 raster is decoded in chunks of about this many bytes, each cut at a
@@ -75,33 +80,26 @@ class PgmParseError(PgmError):
 def _uints(data: bytes, pos: int, what: str, low: int, high: int):
     """Yield ``(value, end)`` for each token of ``data`` from ``pos`` on,
     skipping whitespace and comments, where ``value`` is the token as an
-    unsigned integer in [low, high] and ``end`` the offset just past it.
-    Errors name the value ``what.format(i)`` for the i-th token; a bad token
-    is reported at its first byte and a missing one at the end of ``data``."""
-    places = len(str(high))
+    unsigned integer in [low, high], read by :func:`_token_value`, and
+    ``end`` the offset just past it.  Errors name the value
+    ``what.format(i)`` for the i-th token; a bad token is reported at its
+    first byte and a missing one at the end of ``data``."""
     i = 0
     for match in _TOKEN.finditer(data, pos):
-        token = match[1]
-        if token is None:
-            continue
-        if not token.isdigit():
-            raise PgmParseError(
-                f"{what.format(i)} is not an unsigned integer: {token!r}", match.start()
-            )
-        if len(token) > places:
-            # Longer than high is out of range unless leading zeros pad it.
-            # Such a token is never converted: int() refuses a few thousand
-            # digits.
-            token = token.lstrip(b"0") or b"0"
-            if len(token) > places:
+        start, stop = match.span(1)
+        if start < 0:
+            continue  # a comment
+        value = _token_value(data, start, stop, high)
+        if value is None or value < low:
+            # Only an error copies the token.
+            token = data[start:stop]
+            if not token.isdigit():
                 raise PgmParseError(
-                    f"{what.format(i)} {token.decode()} outside [{low}, {high}]",
-                    match.start(),
+                    f"{what.format(i)} is not an unsigned integer: {token!r}", start
                 )
-        value = int(token)
-        if not low <= value <= high:
-            raise PgmParseError(f"{what.format(i)} {value} outside [{low}, {high}]", match.start())
-        yield value, match.end()
+            digits = token.lstrip(b"0").decode() or "0"
+            raise PgmParseError(f"{what.format(i)} {digits} outside [{low}, {high}]", start)
+        yield value, stop
         i += 1
     raise PgmParseError(f"missing {what.format(i)}", len(data))
 
@@ -127,10 +125,10 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray | 
     whitespace byte at or after ``_CHUNK`` bytes, or, when that byte is in
     a comment, at the comment's newline, so no token or comment crosses a
     cut and the next chunk starts outside a comment.  A comment that a cut
-    falls in is skipped, not scanned.  A token that crosses ``_CHUNK``
-    bytes is read apart by :func:`_token_value`, so the arrays of a chunk
-    cover at most ``_CHUNK`` bytes however long that token is."""
-    view = np.frombuffer(data, dtype=np.uint8)
+    falls in is skipped, not scanned; one inside a chunk is replaced by one
+    space before the scan.  A token that crosses ``_CHUNK`` bytes is read
+    apart by :func:`_token_value`, so the arrays of a chunk cover at most
+    ``_CHUNK`` bytes however long that token is."""
     size = len(data)
     places = len(str(maxval))
     out = np.empty(count, dtype=np.float64)
@@ -155,16 +153,13 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray | 
         start = stop
         if stop > edge:
             start = 1 + max(data.rfind(c, pos, edge) for c in _WHITESPACE)
-        chunk = view[pos:start]
+        # Every comment before the start ends at a newline before it.
+        piece = data[pos:start]
+        if b"#" in piece:
+            piece = _COMMENT.sub(b" ", piece)
+        chunk = np.frombuffer(piece, dtype=np.uint8)
         # The six ASCII whitespace bytes: "\t" to "\r", and " ".
         sep = (chunk - ord("\t") <= ord("\r") - ord("\t")) | (chunk == ord(" "))
-        if data.find(b"#", pos, start) >= 0:
-            # A byte is in a comment when the last "#" at or before it
-            # comes after the last newline at or before it.
-            at = np.arange(len(chunk))
-            last_hash = np.maximum.accumulate(np.where(chunk == ord("#"), at, -1))
-            last_newline = np.maximum.accumulate(np.where(chunk == ord("\n"), at, -1))
-            sep |= last_hash > last_newline
         pos = cut
         # The chunk starts at a separator, so the flips from separator to
         # token and back alternate: token starts, then token ends.

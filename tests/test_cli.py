@@ -289,9 +289,9 @@ def test_covid_report_gives_the_start_date_as_the_series_does(tmp_path, spelled)
 
 
 def test_covid_series_bytes_are_the_csv_modules_with_17_digit_floats(tmp_path):
-    # A code that needs quoting, and counts that give no round numbers.
+    # Codes that need quoting, and counts that give no round numbers.
     rng = np.random.default_rng(61)
-    codes = ['A"B', "NY", "TX"]
+    codes = ['A"B', "NY", "TX", "A\nB"]
     rows = []
     for code in codes:
         tests = np.cumsum(rng.uniform(500.0, 1500.0, 13))

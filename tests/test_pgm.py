@@ -222,10 +222,17 @@ def test_pgm_errors_survive_pickling():
         assert back.offset == 15
 
 
-def _load_peak(path) -> int:
+def _load_peak(path, error=None) -> int:
+    """The traced peak of loading ``path``; given ``error``, the load must
+    fail with that message."""
     tracemalloc.start()
     try:
-        load_gray_image(path)
+        if error is None:
+            load_gray_image(path)
+        else:
+            with pytest.raises(PgmParseError) as err:
+                load_gray_image(path)
+            assert str(err.value) == error
     finally:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -261,6 +268,23 @@ def test_a_zero_padded_token_across_a_chunk_cut_is_read_without_copies(tmp_path,
     size = path.stat().st_size
     assert _load_peak(path) < 1.5 * size
     assert load_gray_image(path).tolist() == [[7 / 255, 0.0]]
+
+
+def test_a_zero_padded_header_token_is_read_without_copies(tmp_path, chunk):
+    # The width is read by byte searches, never copied.
+    path = _write(tmp_path, b"P2 " + b"0" * (1 << 20) + b"2 1 255 7 9")
+    assert _load_peak(path) < 1.5 * path.stat().st_size
+    assert load_gray_image(path).tolist() == [[7 / 255, 9 / 255]]
+
+
+def test_a_fault_after_a_zero_padded_sample_is_worded_without_copies(tmp_path, chunk):
+    # The fault sends the raster back through the token generator, which
+    # reads the padded sample by byte searches too.
+    header = b"P2 3 1 255 "
+    path = _write(tmp_path, header + b"0" * (1 << 20) + b"7 0 x")
+    offset = len(header) + (1 << 20) + 4
+    error = f"sample 2 value is not an unsigned integer: b'x' (byte offset {offset})"
+    assert _load_peak(path, error) < 1.5 * path.stat().st_size
 
 
 # Long tokens, each over three default chunks, and what loading them

@@ -6,6 +6,8 @@ import shlex
 import warnings
 from pathlib import Path
 
+import pytest
+
 import reorgsvd
 from reorgsvd import cli
 
@@ -56,6 +58,80 @@ def test_readme_documents_every_cli_option():
     ]
     assert len(subparsers.choices) == 4
     assert not missing
+
+
+# What README's Command line section states of a flag: its default, its
+# range or its list syntax.
+_FLAG_FACTS = {
+    "approx": {"--ranks": ["comma-separated"]},
+    "sweep": {"--tile-sizes": ["comma-separated"], "--targets": ["comma-separated", "(0, 1)"]},
+    "covid": {
+        "--days": ["150"],
+        "--states": ["comma-separated", "the 50 US states"],
+        "--groups": ["3"],
+        "--rank": ["2"],
+        "--rate-mode": ["cumulative"],
+    },
+    "verify-theorem": {
+        "--alpha": ["0.5"],
+        "--beta": ["0.5"],
+        "--gamma": ["1.0", "[1e-100, 1e100]"],
+        "--sizes": ["comma-separated", "[2, 1000]"],
+    },
+}
+_EXIT_CODES = ["0 success", "1 data or I/O failure", "2 usage error", "3 certification violation"]
+
+
+def _help_text(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as done:
+        cli.main([*argv, "--help"])
+    assert done.value.code == 0
+    return capsys.readouterr().out
+
+
+def _flag_help(text: str, flag: str) -> str:
+    """The lines of ``flag``'s entry under the help's options heading,
+    joined with single spaces; empty when the help has no such entry."""
+    lines = text[text.index("\noptions:\n") :].splitlines()
+    starts = [i for i, line in enumerate(lines) if re.match(rf"\s+{flag}(?![\w-])", line)]
+    if not starts:
+        return ""
+    entry = [lines[starts[0]]]
+    for line in lines[starts[0] + 1 :]:
+        if not line.strip() or line.lstrip().startswith("-"):
+            break
+        entry.append(line)
+    return " ".join(" ".join(entry).split())
+
+
+def test_cli_help_states_what_readme_states(capsys, monkeypatch):
+    # One line per help entry, so no fact is wrapped apart.
+    monkeypatch.setenv("COLUMNS", "1000")
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    section = " ".join(section.split())
+    top = " ".join(_help_text(capsys, []).split())
+    assert [code for code in _EXIT_CODES if code not in top] == []
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(_FLAG_FACTS) == sorted(subparsers.choices)
+    for command, sub in subparsers.choices.items():
+        text = _help_text(capsys, [command])
+        flat = " ".join(text.split())
+        assert [code for code in _EXIT_CODES if code not in flat] == []
+        assert ("RESHAPE_THREADS" in flat) == (command == "sweep")
+        flags = [
+            flag
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings
+        ]
+        assert set(_FLAG_FACTS[command]) <= set(flags)
+        for flag in flags:
+            entry = _flag_help(text, flag)
+            facts = _FLAG_FACTS[command].get(flag, [])
+            assert entry, (command, flag)
+            assert [fact for fact in facts if fact not in entry] == [], (command, entry)
+            assert [fact for fact in facts if fact not in section] == [], (command, flag)
 
 
 def test_readme_names_every_package_export():

@@ -1,5 +1,5 @@
 """Check that two source trees write the same benchmark outputs, byte for
-byte.
+byte, and make the same traced ``thin_svd`` calls.
 
     python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
 
@@ -7,11 +7,14 @@ In each tree, runs ``perfbench/run.py --seconds 1 --trace 0`` for seeds 7
 and 77 on every workload and copies the run's ``perfbench/out/<workload>/ops``
 aside; then compares the two sets of files.  In a ``.json`` file the
 ``"input"`` line, which holds the input's absolute path and so names the
-tree, is masked.  Prints every file that differs or that only one tree
-wrote, and exits 1 on any such file or on a run that is not ``correct``
-with no failed operation; exits 0 when every file matches.  The trees'
-``perfbench/`` sources are only read; each run rewrites its own
-``perfbench/out/``.
+tree, is masked.  Each tree also runs every workload once traced
+(``--seed 7 --seconds 1 --trace 1``), which ``run.py`` marks incorrect when
+a pass's ``core.thin_svd.calls`` differs from what the inputs imply; the
+count is printed.  Prints every file that differs or that only one tree
+wrote, and exits 1 on any such file or on a run, traced or not, that is
+not ``correct`` with no failed operation; exits 0 when every file matches
+and every run passes.  The trees' ``perfbench/`` sources are only read;
+each run rewrites its own ``perfbench/out/``.
 """
 
 from __future__ import annotations
@@ -27,30 +30,45 @@ from pathlib import Path
 
 WORKLOADS = ("image-sweep", "theorem-cert", "covid-panel")
 SEEDS = (7, 77)
+TRACE_SEED = 7
 _INPUT_LINE = re.compile(rb'^(\s*"input": ).*$', re.MULTILINE)
+
+
+def run(tree: Path, workload: str, seed: int, trace: int) -> bool:
+    """One ``run.py`` run in ``tree``; True when it was correct with no
+    failed operation.  A traced run also prints its ``thin_svd`` calls."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", "1", "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    what = f"{tree}: {workload} seed {seed}" + (" traced" if trace else "")
+    if done.returncode or not lines:
+        sys.exit(f"error: {what} exited {done.returncode}:\n{done.stderr.strip()}")
+    summary = json.loads(lines[-1])
+    if trace:
+        calls = summary["metrics"]["core.thin_svd.calls"]["value"]
+        print(f"{what}: core.thin_svd.calls {calls:g}")
+    if summary["correct"] and not summary["failed"]:
+        return True
+    print(f"{what}: correct {summary['correct']}, failed {summary['failed']}")
+    for line in done.stderr.splitlines():
+        if line.startswith(("error:", "check failed")):
+            print(f"  {line}")
+    return False
 
 
 def collect(tree: Path, dest: Path) -> bool:
     """Run every workload and seed in ``tree``, copying each run's ops to
-    ``dest/<seed>/<workload>``; True when every run was correct with no
-    failed operation."""
+    ``dest/<seed>/<workload>``, then every workload once traced; True when
+    every run was correct with no failed operation."""
     ok = True
     for seed in SEEDS:
         for workload in WORKLOADS:
-            argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-                    "--seed", str(seed), "--seconds", "1", "--trace", "0"]
-            done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-            lines = done.stdout.strip().splitlines()
-            if done.returncode or not lines:
-                sys.exit(f"error: {tree}: {workload} seed {seed} exited {done.returncode}:\n"
-                         f"{done.stderr.strip()}")
-            summary = json.loads(lines[-1])
-            if not summary["correct"] or summary["failed"]:
-                print(f"{tree}: {workload} seed {seed}: correct {summary['correct']}, "
-                      f"failed {summary['failed']}")
-                ok = False
+            ok &= run(tree, workload, seed, 0)
             shutil.copytree(tree / "perfbench" / "out" / workload / "ops",
                             dest / str(seed) / workload)
+    for workload in WORKLOADS:
+        ok &= run(tree, workload, TRACE_SEED, 1)
     return ok
 
 
