@@ -69,6 +69,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _csv_line(cells) -> str:
+    """One CSV record ending in a line feed: the csv module's row for a
+    CRLF terminator, which quotes a field that holds a CR or a line feed,
+    with that terminator replaced by a line feed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def _cmd_approx(args) -> int:
     img = load_gray_image(args.image)
     out_dir = Path(args.out)
@@ -172,12 +181,11 @@ def _cmd_sweep(args) -> int:
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         names = [field.name for field in dataclasses.fields(SweepRecord)]
-        writer.writerow(names)
+        fh.write(_csv_line(names))
         for records in per_image:
             for r in records:
-                writer.writerow([_csv_cell(getattr(r, name)) for name in names])
+                fh.write(_csv_line([_csv_cell(getattr(r, name)) for name in names]))
 
     # Per-target win counts over the whole directory, for a quick read.
     for target in args.targets:
@@ -223,18 +231,14 @@ def _cmd_covid(args) -> int:
     )
 
     with open(out_dir / "covid_series.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["state", "date", "actual", "plain_recon", "stacked_recon"])
+        fh.write(_csv_line(["state", "date", "actual", "plain_recon", "stacked_recon"]))
         series = (panel, rep.plain_recon, rep.stacked_recon)
         days = [(counts.start + dt.timedelta(days=d)).isoformat() for d in range(counts.days)]
-        # Each line is the csv module's own "code," (a row of the file's
-        # dialect, which quotes a line feed, without its terminator), the
-        # date and three floats, where "%.17g" gives the text of
-        # format(x, ".17g"); one write per entity.
+        # Each line is the csv module's own "code," (a record without its
+        # line feed), the date and three floats, where "%.17g" gives the
+        # text of format(x, ".17g"); one write per entity.
         for code, *rows in zip(counts.entities, *series):
-            cell = io.StringIO()
-            csv.writer(cell, lineterminator="\n").writerow([code, ""])
-            head = cell.getvalue()[:-1]
+            head = _csv_line([code, ""])[:-1]
             fh.write("".join(
                 "%s%s,%.17g,%.17g,%.17g\n" % (head, day, a, p, s)
                 for day, a, p, s in zip(days, *(r.tolist() for r in rows))

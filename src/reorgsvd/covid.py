@@ -20,7 +20,8 @@ and a date is parsed only on a requested state's row, once per distinct
 date text and load: the file repeats every date once per state.  A
 canonical date, ASCII ``YYYY-MM-DD`` or ``YYYYMMDD``, needs no ``strptime``
 call.  Error messages give the physical line of the row, and text that is
-not UTF-8 the file byte offset of its first bad byte.
+not UTF-8 the file byte offset of its first bad byte; a pipe, which has no
+offset, gets the decoder's own message.
 
 A panel over ``days`` output days is loaded with a 7-day warmup so that the
 trailing moving average for the first output day is complete: the count
@@ -30,7 +31,6 @@ for an output day averages the 7 daily rates ending on that day.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import datetime as dt
 import itertools
@@ -66,8 +66,7 @@ SMOOTH_WINDOW = 7
 
 _REQUIRED_COLUMNS = ("date", "state", "positive", "totalTestResults")
 
-# Characters of file text the comma split reads at a time, and bytes the
-# scan for a byte that is not UTF-8 reads.
+# Characters of file text the comma split reads at a time.
 _CHUNK = 64 * 1024
 
 
@@ -126,29 +125,6 @@ def _first_day(start: dt.date, days: int) -> dt.date:
 
 def _day(first: dt.date, col: int) -> str:
     return (first + dt.timedelta(days=col)).isoformat()
-
-
-def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
-    """The error for the first byte of ``path`` that is not UTF-8, named by
-    its file offset: ``exc`` holds an offset into a block of the text
-    layer, so the file is scanned again in chunks to place the byte."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    # Bytes read so far; a fault's object is the decoder's held-back
-    # bytes followed by the block just read.
-    offset = 0
-    with open(path, "rb") as fh:
-        try:
-            while block := fh.read(_CHUNK):
-                offset += len(block)
-                decoder.decode(block)
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError as fault:
-            return DataError(
-                f"CSV is not UTF-8: can't decode byte 0x{fault.object[fault.start]:02x}: "
-                f"{fault.reason} (byte offset {offset - len(fault.object) + fault.start})"
-            )
-    # The file changed after the text layer read it.
-    return DataError(str(exc))
 
 
 @dataclass(frozen=True)
@@ -219,10 +195,9 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
                 return
             row += [""] * (width - len(row))
         text = row[i_date]
-        # -1: a date text not met yet.
+        # -1: a date text not met yet.  The callers skip a known date outside
+        # the window; a short row's padded "" is never known, being no date.
         col = col_of.get(text, -1)
-        if col is None:
-            return
         raw = row[i_state]
         i = state_of.get(raw, -1)
         if i == -1:
@@ -318,7 +293,16 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
         except csv.Error as exc:
             raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise _not_utf8(csv_path, exc) from None
+            # The fault's object is the bytes the text layer last handed
+            # its decoder, held-back bytes included, so they end at the
+            # file's read position; a pipe has no position to place it by.
+            if not fh.seekable():
+                raise DataError(str(exc)) from None
+            offset = fh.buffer.tell() - len(exc.object) + exc.start
+            raise DataError(
+                f"CSV is not UTF-8: can't decode byte 0x{exc.object[exc.start]:02x}: "
+                f"{exc.reason} (byte offset {offset})"
+            ) from None
 
     holes = size - sum(value is not None for value in cells.values())
     if holes:

@@ -325,12 +325,58 @@ def test_covid_series_bytes_are_the_csv_modules_with_17_digit_floats(tmp_path):
         assert "%.17g" % x == format(x, ".17g")
 
 
+def test_covid_series_quotes_a_carriage_return(tmp_path):
+    # A state code that holds a bare CR: the series reads back through the
+    # csv module as one record per row.
+    rows = linear_counts(["CA"], 12)
+    rows += [[day, "A\rB", pos, tests] for day, _, pos, tests in rows]
+    path = write_counts(tmp_path / "c.csv", rows)
+    out = tmp_path / "out"
+    rc = cli.main(["covid", str(path), "--start-date", START.isoformat(), "--days", "12",
+                   "--states", "A\rB,CA", "--groups", "3", "--rank", "1",
+                   "--out", str(out)])
+    assert rc == 0
+    with open(out / "covid_series.csv", newline="") as fh:
+        series = list(csv.reader(fh))
+    assert len(series) == 1 + 2 * 12
+    assert [row[0] for row in series[1:]] == ["A\rB"] * 12 + ["CA"] * 12
+
+
+def test_sweep_csv_quotes_a_carriage_return(tmp_path):
+    # An image file name that holds a bare CR, as above.
+    d = tmp_path / "images"
+    d.mkdir()
+    write_gray_image(np.linspace(0.1, 1.0, 16).reshape(4, 4), d / "a\rb.pgm")
+    out = tmp_path / "s.csv"
+    rc = cli.main(["sweep", str(d), "--tile-sizes", "2,4", "--targets", "0.3",
+                   "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        sweep = list(csv.reader(fh))
+    assert sweep[0][0] == "image" and len(sweep) == 1 + 3
+    assert [row[0] for row in sweep[1:]] == ["a\rb.pgm"] * 3
+
+
 def test_covid_bad_csv_exits_1(tmp_path, capsys):
     path = write_counts(tmp_path / "bad.csv", [], header=("date", "state"))
     rc = cli.main(["covid", str(path), "--start-date", "2020-05-17", "--days", "3",
                    "--states", "CA", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "missing required columns" in capsys.readouterr().err
+
+
+def test_covid_state_without_positives_exits_1(tmp_path, capsys):
+    # A state whose smoothed series peaks at 0 cannot be divided by its peak.
+    rows = linear_counts(["CA", "NY"], 6)
+    for row in rows[13:]:
+        row[2] = "0"
+    path = write_counts(tmp_path / "c.csv", rows)
+    rc = cli.main(["covid", str(path), "--start-date", "2020-05-17", "--days", "6",
+                   "--states", "CA,NY", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: cannot normalize rows with non-positive peak: NY\n"
+    )
 
 
 @pytest.mark.parametrize("start", ["9999-12-01", "0001-01-03"])
@@ -486,6 +532,13 @@ def test_verify_theorem_rejects_a_size_over_its_limit_before_any_output():
     assert proc.stderr == f"error: certification needs n <= {cli._MAX_CERT_SIZE}, got 20000\n"
 
 
+def test_verify_theorem_size_limit_in_process(capsys):
+    assert cli.main(["verify-theorem", "--sizes", "1001"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: certification needs n <= 1000, got 1001\n"
+
+
 def _hostile_argv(case: str, d: Path) -> list[str]:
     """The command line of one hostile case, its input files written to
     ``d``."""
@@ -550,6 +603,38 @@ def test_hostile_input_exits_cleanly_under_a_memory_cap(tmp_path, case, names):
     assert "Traceback" not in proc.stderr
     last = proc.stderr.splitlines()[-1]
     assert last.startswith("error: ") and names in last, last
+
+
+def test_a_non_utf8_pipe_gets_the_decoders_message(tmp_path):
+    # A pipe has no file offset to name the bad byte by: the message is
+    # the decoder's, whose position counts from the start of the block it
+    # was handed.  The whole file fits one block and the pipe's buffer.
+    data = bytearray("".join(
+        ",".join(row) + "\n"
+        for row in [["date", "state", "positive", "totalTestResults"]]
+        + linear_counts(["CA"], 190)
+    ).encode())
+    assert 5000 < len(data) < 8192
+    data[5000] = 0xFF
+    read, write = os.pipe()
+    os.write(write, bytes(data))
+    os.close(write)
+    with os.fdopen(read, "rb") as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "reorgsvd.cli", "covid", "/dev/stdin", "--start-date",
+             START.isoformat(), "--days", "190", "--states", "CA",
+             "--out", str(tmp_path / "o")],
+            stdin=stdin,
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=120,
+        )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 5000: invalid start byte\n"
+    )
 
 
 def test_approx_rejects_oversized_ascii_header_before_allocating(tmp_path, capsys):

@@ -540,6 +540,11 @@ def test_factorization_rejects_increasing_sigma():
         )
 
 
+def test_factorization_rejects_factors_of_the_wrong_dimensionality():
+    with pytest.raises(ValueError, match="factor arrays have wrong dimensionality"):
+        SvdFactorization(u=np.eye(2), sigma=np.eye(2), v=np.eye(2))
+
+
 def test_rank_k_error_matches_tail_energy():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(12, 9))

@@ -4,6 +4,7 @@ import _strptime
 import csv
 import datetime as dt
 import math
+import os
 import random
 import tracemalloc
 
@@ -73,6 +74,37 @@ def test_loader_errors(tmp_path):
 
     with pytest.raises(DataError):
         load_state_counts(_write_counts(tmp_path / "e.csv", rows), START, 0)
+
+
+def test_loader_refuses_an_empty_or_repeated_state_list(tmp_path):
+    path = _write_counts(tmp_path / "c.csv", _linear_counts(["CA"], 3))
+    with pytest.raises(DataError, match="need at least one state code"):
+        load_state_counts(path, START, 3, states=[])
+    with pytest.raises(DataError, match="duplicate state codes requested"):
+        load_state_counts(path, START, 3, states=["CA", "NY", "CA"])
+
+
+def test_csv_route_skips_a_blank_line_and_a_datetime_start_is_its_day(tmp_path):
+    # A quoted field sends the load through the csv module, which reads a
+    # blank line as an empty row; a datetime names the day it falls on.
+    rows = _linear_counts(["CA", "NY"], 3)
+    want = load_state_counts(_write_counts(tmp_path / "c.csv", rows), START, 3,
+                             states=["CA", "NY"])
+    lines = _lf_lines(rows)
+    lines[3] = '"' + lines[3].replace(",", '",', 1)
+    lines.insert(5, "\n")
+    path = tmp_path / "q.csv"
+    path.write_text("".join(lines), newline="")
+    got = load_state_counts(path, dt.datetime(2020, 5, 17, 13, 30), 3, states=["CA", "NY"])
+    assert got.start == START
+    assert got.positives.tobytes() == want.positives.tobytes()
+    assert got.tests.tobytes() == want.tests.tobytes()
+
+
+def test_count_panel_checks_the_shape_of_its_arrays():
+    with pytest.raises(ValueError, match=r"count arrays must be \(1, 10\), "
+                                         r"got \(1, 9\) and \(1, 10\)"):
+        covid.CountPanel(("CA",), START, 3, np.zeros((1, 9)), np.zeros((1, 10)))
 
 
 def test_window_must_fit_the_calendar(tmp_path):
@@ -755,6 +787,61 @@ def test_invalid_utf8_is_named_by_its_file_byte_offset(
         load_state_counts(path, START, 1000, states=codes)
     assert str(exc.value) == (
         f"CSV is not UTF-8: can't decode byte 0x{bad[0]:02x}: {reason} (byte offset {offset})"
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, _DEFAULT_CHUNK])
+@pytest.mark.parametrize("place", ["header-bom", "after-quote", "eof"])
+def test_invalid_utf8_in_the_header_after_a_quote_and_at_eof(
+    tmp_path, monkeypatch, chunk, place
+):
+    # In the header after a byte-order mark; right after a quoted field on
+    # line 4,002, so past the first 64 KiB the csv module reads the file
+    # again from its start; and a 4-byte sequence cut short at the end.
+    monkeypatch.setattr(covid, "_CHUNK", chunk)
+    codes = ["CA", "NY", "TX", "WA"]
+    lines = _lf_lines(_linear_counts(codes, 1000))
+    bom = b"\xef\xbb\xbf" if place == "header-bom" else b""
+    if place == "after-quote":
+        date, code, rest = lines[4001].split(",", 2)
+        lines[4001] = f'{date},"{code}",{rest}'
+    data = bom + "".join(lines).encode()
+    path = tmp_path / "c.csv"
+    path.write_bytes(data)
+    assert load_state_counts(path, START, 1000, states=codes).positives.shape == (4, 1007)
+    if place == "header-bom":
+        offset, bad, reason = 8, b"\xff", "invalid start byte"
+    elif place == "after-quote":
+        offset = len("".join(lines[:4001])) + len(date) + 5
+        assert offset > _DEFAULT_CHUNK and data[offset - 1 : offset] == b'"'
+        bad, reason = b"\xe2\x82", "invalid continuation byte"
+    else:
+        offset, bad, reason = len(data), b"\xf0\x9f\x98", "unexpected end of data"
+    path.write_bytes(data[:offset] + bad + data[offset:])
+    with pytest.raises(DataError) as exc:
+        load_state_counts(path, START, 1000, states=codes)
+    assert str(exc.value) == (
+        f"CSV is not UTF-8: can't decode byte 0x{bad[0]:02x}: {reason} (byte offset {offset})"
+    )
+
+
+def test_a_pipe_gets_the_decoders_message():
+    # A pipe has no file offset to name the bad byte by: the message is the
+    # decoder's, whose position counts from the start of the block it was
+    # handed, here the whole file.
+    data = bytearray("".join(_lf_lines(_linear_counts(["CA"], 190))).encode())
+    assert 5000 < len(data) < 8192
+    data[5000] = 0xFF
+    read, write = os.pipe()
+    try:
+        os.write(write, bytes(data))
+        os.close(write)
+        with pytest.raises(DataError) as exc:
+            load_state_counts(f"/dev/fd/{read}", START, 190, states=["CA"])
+    finally:
+        os.close(read)
+    assert str(exc.value) == (
+        "'utf-8' codec can't decode byte 0xff in position 5000: invalid start byte"
     )
 
 

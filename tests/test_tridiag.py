@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,6 +134,22 @@ def test_diag_energy_equals_scaled_diagonal_norm():
     )
 
 
+@pytest.mark.parametrize("a", [0.99999999995, 0.9999999999])
+def test_diag_energy_near_one_matches_an_exact_sum(a):
+    # Within 1e-8 of delta = 1 the partial sums are added up term by term;
+    # fractions give the exact sum of their squares for the float delta.
+    for n in (2, 10, 50, 200):
+        p = TridiagParams(a, a, 1.0, n)
+        assert abs(1.0 - p.delta) < 1e-8
+        delta = Fraction(p.delta)
+        power, s, exact = Fraction(1), Fraction(0), Fraction(0)
+        for _ in range(n):
+            s += power
+            exact += s * s
+            power *= delta
+        assert abs(Fraction(diag_energy(p)) - exact) <= Fraction(1e-14) * exact
+
+
 def test_rate_plus_remainder_decomposition():
     rng = np.random.default_rng(25)
     for n in (1, 4, 50, 500):
@@ -202,6 +219,13 @@ def test_certificate_flags_doctored_numbers():
     assert any("ceiling" in line for line in bad.violations())
     bad = dataclasses.replace(cert, remainder=cert.remainder + 1.0)
     assert any("diag_norm_sq" in line for line in bad.violations())
+
+
+def test_certificate_flags_an_error_below_its_floor():
+    cert = certify_rank1_gap(TridiagParams(0.5, 0.5, 1.0, 20))
+    floor = cert.frob_sq - cert.spectral_bound**2
+    bad = dataclasses.replace(cert, plain_rank1_err_sq=floor - 1.0)
+    assert f"is below the floor frob_sq - bound**2 = {floor!r}" in "\n".join(bad.violations())
 
 
 def _entrywise_inverse(p):
