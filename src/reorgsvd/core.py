@@ -34,14 +34,6 @@ __all__ = [
 JACOBI_MAX_SWEEPS = 60
 JACOBI_REL_TOL = 1e-12
 
-# Rows per block of the Gram matrix that proves a sweep quiet, and the
-# squared row norm under which the proof gives up: above it, tol**2 times
-# a product of two norms, and every dot near the line, stay clear of the
-# subnormal range.
-_GRAM_BLOCK = 16
-_GRAM_TINY = 2.0**-460
-
-
 class SvdConvergenceError(RuntimeError):
     """Jacobi sweep cap exhausted before the off-diagonal mass went under
     the stopping threshold."""
@@ -118,9 +110,9 @@ class SvdFactorization:
     leading k singular vectors, as ``thin_svd(a, rank=k)`` returns them,
     with every singular value still held; ``thin_svd(a)`` holds every
     triple (k = len(sigma)).  ``sweeps`` is the number of Jacobi sweeps
-    :func:`thin_svd` took, the final rotation-free one included, whether it
-    was run or proved quiet, and ``rotations`` the number of pair rotations
-    it applied; both are 0 for a factorization built by hand.
+    :func:`thin_svd` took, the final rotation-free one included, and
+    ``rotations`` the number of pair rotations it applied; both are 0 for
+    a factorization built by hand.
     """
 
     u: np.ndarray
@@ -236,64 +228,6 @@ def _pair_views(m: np.ndarray) -> tuple[np.ndarray, ...]:
     return m, pairs, pairs[:, 0], pairs[:, 1]
 
 
-def _sweep_is_quiet(rows: np.ndarray, norms: np.ndarray) -> bool:
-    """True when a Jacobi sweep over ``rows``, with the squared row norms
-    ``norms`` the kernel computed for it, would rotate no pair; False when
-    a pair would rotate, or when the check gives up.
-
-    Until its first rotation a sweep meets each pair with the rows and
-    norms it started with, so it rotates nothing when no pair (p, q) has
-    ``apq**2 > tol**2 * |app * aqq|``, apq being the kernel's einsum of
-    the two rows and tol ``JACOBI_REL_TOL`` (Demmel and Veselic's pair
-    cosine test).  A BLAS dot and that einsum each lie within
-    gamma_m ||p|| ||q|| of the exact dot, with m the row length, u the unit
-    roundoff and gamma_m = m u / (1 - m u), so a pair whose Gram entry has
-    |G_pq| <= (1 - 4 m u / tol) tol sqrt(app aqq) cannot pass.  The Gram
-    matrix is taken ``_GRAM_BLOCK`` rows at a time, and the pairs above
-    that line, the near ones, get the kernel's own test, einsum included,
-    ``_GRAM_BLOCK`` pairs at a time.  A zero row's dots are exact zeros,
-    which never pass.  Gives up when another row's squared norm is under
-    ``_GRAM_TINY``, where underflow could void the bound, when more than n
-    pairs are near, or when the margin factor is under 1/2 (m above about
-    1,100).
-    """
-    n, m = rows.shape
-    tol = JACOBI_REL_TOL
-    # 2**-53 is the unit roundoff u, and gamma_m = m u / (1 - m u).
-    margin = 1.0 - 4.0 * m * 2.0**-53 / tol
-    tiny = norms < _GRAM_TINY
-    if margin < 0.5 or (tiny.any() and rows[tiny].any()):
-        return False
-    # A zero row's Gram entries are exact zeros, so any positive size
-    # leaves its pairs under the line.
-    size = np.sqrt(np.maximum(norms, _GRAM_TINY))
-    line = margin * tol * size
-    near = []
-    count = 0
-    for i in range(0, n - 1, _GRAM_BLOCK):
-        # |G_pq| / size_q against line_p, in place, so that the check
-        # allocates little beyond one block.
-        gram = rows[i : i + _GRAM_BLOCK] @ rows[i + 1 :].T
-        np.abs(gram, out=gram)
-        gram /= size[i + 1 :]
-        # Column c of the block is row i + 1 + c, so c >= a holds the
-        # pairs p < q of block row a.
-        a, c = np.nonzero(gram > line[i : i + _GRAM_BLOCK, None])
-        upper = c >= a
-        count += int(np.count_nonzero(upper))
-        if count > n:
-            return False
-        near.append((a[upper] + i, c[upper] + i + 1))
-    rel2 = tol * tol
-    for p, q in near:
-        for k in range(0, len(p), _GRAM_BLOCK):
-            pc, qc = p[k : k + _GRAM_BLOCK], q[k : k + _GRAM_BLOCK]
-            apq = np.einsum("ij,ij->i", rows[pc], rows[qc])
-            if (apq * apq > rel2 * np.abs(norms[pc] * norms[qc])).any():
-                return False
-    return True
-
-
 def _jacobi(x: np.ndarray) -> tuple[int, int]:
     """One-sided Jacobi on ``X``, held one column per row (row j of ``x``
     is column j of ``X``), with an even number n of columns; :func:`thin_svd`
@@ -308,13 +242,8 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
     ``take`` moves the rows into the next round's order.  A pair that
     needs no rotation gets the identity, which leaves its rows as they
     are.  Every rotation, norm estimate and count is the one the pairs
-    would get one round at a time in column order.
-
-    A sweep that follows one with fewer rotations than a quarter of its
-    (n - 1) n/2 pair slots is first checked by :func:`_sweep_is_quiet`
-    from its fresh norms and one Gram product; when that proves it would
-    rotate nothing, the kernel has converged without running it, and the
-    sweep is counted as if it had run.  Otherwise it runs as any other.
+    would get one round at a time in column order.  The first sweep that
+    rotates no pair ends the iteration.
 
     ``x`` must hold no -0.0, which the identity would return as +0.0 (the
     product sums from +0.0).  :func:`thin_svd` passes none: its QRs fill R
@@ -331,11 +260,6 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
     g = np.empty((h, 2, 2))
     gc, gc2, gs, gms = g[:, 0, 0], g[:, 1, 1], g[:, 1, 0], g[:, 0, 1]
     rotations = 0
-    converged = False
-    # A sweep after one that rotated under a quarter of its (n - 1) h pair
-    # slots may be proved quiet instead of run.
-    slots = (n - 1) * h
-    few = False
 
     # An inactive pair may divide by apq == 0 below; its angle is set to 0,
     # the identity, whatever the division gave.
@@ -345,10 +269,6 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
             # in-sweep updates below are cheap estimates that drift over
             # many rotations.
             norms = np.multiply(cur[0], cur[0], out=nxt[0]).sum(axis=1)
-            if few and _sweep_is_quiet(cur[0], norms):
-                converged = True
-                break
-            before = rotations
             rotated = False
             for move in moves:
                 _, pairs, p, q = cur
@@ -380,9 +300,7 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
                 cur[0].take(move, axis=0, out=nxt[0], mode="clip")
                 cur, nxt = nxt, cur
                 norms = norms[move]
-            few = 4 * (rotations - before) < slots
             if not rotated:
-                converged = True
                 break
 
     # Back to column order, in x.
@@ -391,7 +309,8 @@ def _jacobi(x: np.ndarray) -> tuple[int, int]:
         rows = nxt[0]
         np.copyto(rows, x)
     np.take(rows, np.argsort(first), axis=0, out=x, mode="clip")
-    if not converged:
+    # The last sweep taken still rotated: the cap ran out first.
+    if rotated:
         raise SvdConvergenceError(
             f"one-sided Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps"
         )
@@ -435,14 +354,10 @@ def thin_svd(a, rank: int | None = None) -> SvdFactorization:
     size of the two columns, which keeps the singular values above the
     rank cut accurate relative to themselves (columns graded from 1 to
     1e-10 keep every one to about 1e-15 relative).  Convergence is
-    declared after a sweep with no rotations.  After a sweep that rotated
-    under a quarter of its pairs, the next one may instead be proved quiet
-    from one Gram product of the columns, in blocks of 16, with the
-    kernel's own test on the few pairs whose Gram entry lies near the
-    tolerance; a proved sweep is counted as a run one, so the result is
-    the same bit for bit.  At most ``JACOBI_MAX_SWEEPS`` sweeps are taken,
-    the final rotation-free one included; if the last of them still
-    rotated, :class:`SvdConvergenceError` is raised.  The sweeps taken and
+    declared after a sweep with no rotations.  At most
+    ``JACOBI_MAX_SWEEPS`` sweeps are taken, the final rotation-free one
+    included; if the last of them still rotated,
+    :class:`SvdConvergenceError` is raised.  The sweeps taken and
     the pair rotations applied are reported in
     :attr:`SvdFactorization.sweeps` and :attr:`SvdFactorization.rotations`.
 

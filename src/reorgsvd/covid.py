@@ -10,10 +10,10 @@ skipped, and a UTF-8 byte-order mark before the header is dropped.  The
 header is read by the csv module.  The rest of the file is read in chunks
 of text; while the text holds no quote, NUL or carriage return and no line
 longer than the csv field limit, each line is split at its commas, which
-gives the csv module's row.  At the first chunk that breaks this, the rows
-taken so far are dropped and the csv module reads the whole file again
-from its start, so a file that needs it late is read about twice.  Either
-way rows are read by column index.  The raw date text is tested first, so
+gives the csv module's row.  From the first chunk that breaks this, the
+csv module reads on from the first line not yet taken, and the rows taken
+before stay; so a pipe reads every file that a path reads.  Either way
+rows are read by column index.  The raw date text is tested first, so
 a row whose date is known to fall outside the window costs one lookup, and
 on the comma split only its leading fields are split; then the state code;
 and a date is parsed only on a requested state's row, once per distinct
@@ -35,6 +35,7 @@ import csv
 import datetime as dt
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,24 @@ _REQUIRED_COLUMNS = ("date", "state", "positive", "totalTestResults")
 
 # Characters of file text the comma split reads at a time.
 _CHUNK = 64 * 1024
+
+# One line of text as a file opened with ``newline=""`` yields it: ended
+# by an LF, a CR LF or a lone CR, or by the end of the text.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _lines(text: str, fh):
+    """The lines of ``text`` and then of ``fh``, as ``fh`` would yield
+    them had none been read into ``text``.  What follows ``text``'s last LF
+    is completed from ``fh`` only when the lines before it are spent, so
+    that no byte is decoded before the rows ahead of it are read."""
+    cut = text.rfind("\n") + 1
+    for line in _LINE.finditer(text, 0, cut):
+        yield line[0]
+    # A chunk may end between the CR and the LF of a line end.
+    for line in _LINE.finditer(text[cut:] + fh.readline()):
+        yield line[0]
+    yield from fh
 
 
 class DataError(ValueError):
@@ -157,10 +176,10 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
     counts still takes its cell.  Only the cells that rows take are held,
     so memory grows with the rows read, not with ``days`` x states: besides
     those cells, the loader holds one chunk of text and at most one line.
-    A chunk the comma split cannot take sends the csv module through the
-    whole file again from its start, with the cells dropped, so a file that
-    needs it late is read about twice.  Each distinct date text is parsed
-    once per load, and a canonical one without ``strptime``."""
+    From a chunk the comma split cannot take, the csv module reads the rest
+    of the file, so a pipe reads every file that a path reads.  Each
+    distinct date text is parsed once per load, and a canonical one
+    without ``strptime``."""
     try:
         days = _count(days, "days")
     except ValueError as exc:
@@ -237,6 +256,8 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
 
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        # ``reader`` starts after physical line ``taken``.
+        taken = 0
         # Only a csv reader raises csv.Error, as on a field over the csv
         # module's size limit.
         try:
@@ -278,20 +299,19 @@ def load_state_counts(csv_path, start_date, days: int, states=None) -> CountPane
                 if not chunk:
                     break
             # Text is left when the comma split met a chunk it cannot take:
-            # then the csv module reads the whole file again from its
-            # header.  The cells taken so far are dropped; the date and
-            # state caches stay, so no date text is parsed twice.
+            # then the csv module reads on from the start of that text.
+            # Each line before it held no quote, CR or NUL, so its comma
+            # split was the csv module's row.
             if text:
-                cells.clear()
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
+                reader = csv.reader(_lines(text, fh))
                 for row in reader:
                     if len(row) > i_date and col_of.get(row[i_date], -1) is None:
                         continue
-                    take(row, reader.line_num)
+                    take(row, taken + reader.line_num)
         except csv.Error as exc:
-            raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+            raise DataError(
+                f"malformed CSV at line {taken + reader.line_num}: {exc}"
+            ) from None
         except UnicodeDecodeError as exc:
             # The fault's object is the bytes the text layer last handed
             # its decoder, held-back bytes included, so they end at the

@@ -121,27 +121,27 @@ def unstack_column_groups(b, groups: int) -> np.ndarray:
     return columns_to_tiles(m.T, TileScheme(1, w, srows // g, g))
 
 
-def diag_to_columns(a) -> np.ndarray:
-    """Gather the wrap-around diagonals of a square matrix into columns:
-    output (i, k) is input (i, (i + k) mod n).  Column 0 is the main
-    diagonal; column k is the k-th cyclic superdiagonal."""
+def _cyclic_gather(a, step: int) -> np.ndarray:
+    """Output (i, k) is input (i, (k + step * i) mod n), for a square ``a``."""
     m = as_matrix(a)
     n, cols = m.shape
     if n != cols:
         raise ValueError(f"diagonal layout needs a square matrix, got {m.shape}")
     idx = np.arange(n)
-    return m[idx[:, None], (idx[:, None] + idx[None, :]) % n]
+    return m[idx[:, None], (step * idx[:, None] + idx[None, :]) % n]
+
+
+def diag_to_columns(a) -> np.ndarray:
+    """Gather the wrap-around diagonals of a square matrix into columns:
+    output (i, k) is input (i, (i + k) mod n).  Column 0 is the main
+    diagonal; column k is the k-th cyclic superdiagonal."""
+    return _cyclic_gather(a, 1)
 
 
 def columns_to_diag(b) -> np.ndarray:
     """Exact inverse of :func:`diag_to_columns`: input (i, j) is taken from
     output cell (i, (j - i) mod n)."""
-    m = as_matrix(b)
-    n, cols = m.shape
-    if n != cols:
-        raise ValueError(f"diagonal layout needs a square matrix, got {m.shape}")
-    idx = np.arange(n)
-    return m[idx[:, None], (idx[None, :] - idx[:, None]) % n]
+    return _cyclic_gather(b, -1)
 
 
 @dataclass(frozen=True)

@@ -637,6 +637,44 @@ def test_a_non_utf8_pipe_gets_the_decoders_message(tmp_path):
     )
 
 
+def _late_quote_counts(path, rows):
+    # LF lines, and one quoted state code past the first 64 KiB, so the
+    # csv module takes over after the comma split has taken many lines.
+    rows[-1][1] = f'"{rows[-1][1]}"'
+    text = "".join(",".join(row) + "\n" for row in
+                   [["date", "state", "positive", "totalTestResults"], *rows])
+    assert text.index('"') > covid._CHUNK
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("write", [write_counts, _late_quote_counts], ids=["crlf", "late-quote"])
+def test_covid_reads_a_pipe_as_it_reads_the_file(tmp_path, capsys, write):
+    # Counts the csv module must read, piped to a child on /dev/stdin: the
+    # same outputs, byte for byte, as the same file given by its path.
+    states = ["CA", "NY", "TX", "WA"]
+    path = write(tmp_path / "c.csv", linear_counts(states, 600))
+    argv = ["--start-date", START.isoformat(), "--days", "600", "--states", ",".join(states)]
+    assert cli.main(["covid", str(path), *argv, "--out", str(tmp_path / "file")]) == 0
+    printed = capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-m", "reorgsvd.cli", "covid", "/dev/stdin", *argv,
+         "--out", str(tmp_path / "pipe")],
+        input=path.read_bytes(),
+        capture_output=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (printed.out.encode(), printed.err.encode())
+    series = "covid_series.csv"
+    assert (tmp_path / "pipe" / series).read_bytes() == (tmp_path / "file" / series).read_bytes()
+    # The report names its input, so that one value differs.
+    report = (tmp_path / "file" / "covid_report.json").read_bytes()
+    assert (tmp_path / "pipe" / "covid_report.json").read_bytes() == report.replace(
+        json.dumps(str(path)).encode(), b'"/dev/stdin"')
+
+
 def test_approx_rejects_oversized_ascii_header_before_allocating(tmp_path, capsys):
     path = tmp_path / "huge.pgm"
     path.write_bytes(b"P2 1000000000 1000000000 255\n")

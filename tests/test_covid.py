@@ -410,8 +410,8 @@ def test_each_distinct_date_text_is_parsed_at_most_once(tmp_path, monkeypatch):
     # The csv writer ends lines with CRLF, so the csv module reads that file
     # from its header; the comma split reads the LF one throughout.  The
     # third has a quote in its last row: in chunks of 256 characters the
-    # comma split takes the rows before it, then the csv module reads the
-    # whole file again, and must not parse their dates again.
+    # comma split takes the rows before it, then the csv module reads on
+    # from the chunk that holds it, and must not parse a date text again.
     lines = _lf_lines(rows)
     date, code, pos, tst = rows[-1]
     files = {"crlf": _write_counts(tmp_path / "c.csv", rows)}
@@ -701,11 +701,11 @@ def _load_peak(path, codes) -> int:
 @pytest.mark.parametrize("line", [2, 40_881], ids=["line-2", "last-line"])
 def test_a_quote_costs_no_memory_over_a_quote_free_load(tmp_path, line):
     # The benchmark's size: 56 codes over 730 days, 40,880 LF rows.  A
-    # quoted state sends the whole file through the csv module, from its
-    # header, which should then hold no more than the comma split does:
-    # not the first chunk at 4 bytes a character, nor that chunk split
-    # into lines.  On the last line, the comma split has taken every
-    # earlier row before the csv module starts over.
+    # quoted state on line 2 sends the whole file through the csv module,
+    # which should then hold no more than the comma split does: not the
+    # first chunk at 4 bytes a character, nor that chunk split into lines.
+    # On the last line, the comma split has taken every earlier row before
+    # the csv module takes over.
     codes = list(covid.US_STATE_CODES) + ["AS", "DC", "GU", "MP", "PR", "VI"]
     rows = _linear_counts(codes, 723)
     assert len(rows) == 40_880
@@ -796,8 +796,8 @@ def test_invalid_utf8_in_the_header_after_a_quote_and_at_eof(
     tmp_path, monkeypatch, chunk, place
 ):
     # In the header after a byte-order mark; right after a quoted field on
-    # line 4,002, so past the first 64 KiB the csv module reads the file
-    # again from its start; and a 4-byte sequence cut short at the end.
+    # line 4,002, past the first 64 KiB, where the csv module takes over;
+    # and a 4-byte sequence cut short at the end.
     monkeypatch.setattr(covid, "_CHUNK", chunk)
     codes = ["CA", "NY", "TX", "WA"]
     lines = _lf_lines(_linear_counts(codes, 1000))
@@ -823,6 +823,24 @@ def test_invalid_utf8_in_the_header_after_a_quote_and_at_eof(
     assert str(exc.value) == (
         f"CSV is not UTF-8: can't decode byte 0x{bad[0]:02x}: {reason} (byte offset {offset})"
     )
+
+
+def test_a_bad_count_before_the_hand_over_is_named_before_a_later_bad_byte(tmp_path):
+    # A quote on line 1,901 hands the second 64 KiB chunk to the csv module.
+    # Line 3,201 of that chunk holds a bad count, and a bad byte lies in the
+    # block after it: the line the chunk ends in is completed from the
+    # file, which decodes that block, only once the rows before it are read.
+    codes = ["CA", "NY", "TX", "WA"]
+    rows = _linear_counts(codes, 1000)
+    rows[1899][1] = f'"{rows[1899][1]}"'
+    rows[3199][2] = "-5"
+    lines = _lf_lines(rows)
+    data = "".join(lines).encode()
+    offset = len("".join(lines[:3201])) + 20_000
+    assert len("".join(lines[:1901])) > _DEFAULT_CHUNK
+    (tmp_path / "c.csv").write_bytes(data[:offset] + b"\xff" + data[offset:])
+    with pytest.raises(DataError, match=r"bad positive value '-5' .* \(line 3201\)"):
+        load_state_counts(tmp_path / "c.csv", START, 1000, states=codes)
 
 
 def test_a_pipe_gets_the_decoders_message():

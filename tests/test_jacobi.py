@@ -2,8 +2,7 @@
 replaced: the same bytes, sweeps and rotations, an odd triangle padded
 with a zero column as ``thin_svd`` pads it, the round schedule, a
 bounded memory peak, and the triangle without -0.0 that ``thin_svd``
-hands the kernel.  Also the pivot order against the loop it replaced,
-and the check that proves a last sweep quiet instead of running it."""
+hands the kernel.  Also the pivot order against the loop it replaced."""
 
 import tracemalloc
 
@@ -341,81 +340,3 @@ def test_pivot_order_matches_the_reference_loop(name):
     assert got_r == want_r and type(got_r) is int
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-
-def _kernel_rotates_a_pair(rows, norms):
-    """Whether the kernel's own test, einsum of the two rows included,
-    passes for any pair of ``rows`` with the squared norms ``norms``."""
-    n = rows.shape[0]
-    rel2 = core.JACOBI_REL_TOL * core.JACOBI_REL_TOL
-    p, q = np.triu_indices(n, 1)
-    apq = np.einsum("ij,ij->i", rows[p], rows[q])
-    return bool((apq * apq > rel2 * np.abs(norms[p] * norms[q])).any())
-
-
-def _rows_with_cosines(cosines, n=12, m=14, zero_row=False):
-    """Rows of graded norms, orthogonal but for pair (2k, 2k + 1), whose
-    cosine is cosines[k] times the kernel's tolerance."""
-    rows = np.zeros((n, m))
-    rows[:, :n] = np.diag(np.logspace(0, -6, n))
-    for k, c in enumerate(cosines):
-        rows[2 * k + 1, 2 * k] = c * core.JACOBI_REL_TOL * rows[2 * k + 1, 2 * k + 1]
-    if zero_row:
-        rows[-1] = 0.0
-    return rows
-
-
-@pytest.mark.parametrize("cosines, quiet", [
-    ((1.05, 0.95), False),
-    ((0.95,), True),
-    ((0.95, 1.05), False),
-    # Near the line, so the kernel's own test decides.
-    ((0.999, 0.95), True),
-    ((1.0001, 0.95), False),
-    ((0.9999999, 0.999), True),
-    ((), True),
-])
-@pytest.mark.parametrize("zero_row", [False, True])
-def test_quiet_sweep_check_agrees_with_the_kernel_test(cosines, quiet, zero_row):
-    rows = _rows_with_cosines(cosines, zero_row=zero_row)
-    norms = (rows * rows).sum(axis=1)
-    assert _kernel_rotates_a_pair(rows, norms) is not quiet
-    assert core._sweep_is_quiet(rows, norms) is quiet
-
-
-def test_quiet_sweep_check_gives_up_on_a_tiny_row():
-    # A row whose squared norm is under 2**-460 could put the bound under
-    # underflow, so the sweep is run, although it rotates nothing.
-    rows = _rows_with_cosines((0.95,))
-    rows[5] *= 2.0**-240
-    norms = (rows * rows).sum(axis=1)
-    assert not _kernel_rotates_a_pair(rows, norms)
-    assert core._sweep_is_quiet(rows, norms) is False
-
-
-def _gaussian_200():
-    return np.random.default_rng(16).standard_normal((200, 200))
-
-
-def _inverse_200():
-    return closed_form_inverse(TridiagParams(alpha=0.5, beta=0.5, gamma=1.0, n=200))
-
-
-@pytest.mark.parametrize("build", [_gaussian_200, _inverse_200], ids=["gaussian", "inverse"])
-def test_thin_svd_proves_its_last_sweep_quiet(build, monkeypatch):
-    a = build()
-    check, results = core._sweep_is_quiet, []
-
-    def spy(rows, norms):
-        results.append(check(rows, norms))
-        return results[-1]
-
-    monkeypatch.setattr(core, "_sweep_is_quiet", spy)
-    proved = core.thin_svd(a)
-    # The kernel ended on the proof, not on a sweep it ran.
-    assert results[-1] is True
-    # With the check failing, every sweep runs, to the same bytes and counts.
-    monkeypatch.setattr(core, "_sweep_is_quiet", lambda rows, norms: False)
-    run = core.thin_svd(a)
-    for field in ("u", "sigma", "v"):
-        assert getattr(proved, field).tobytes() == getattr(run, field).tobytes()
-    assert (proved.sweeps, proved.rotations) == (run.sweeps, run.rotations)
